@@ -8,12 +8,12 @@ Usage::
 
 The record's ``schema`` field selects the contract:
 
-* ``bench-kernels/v1`` — every measurement present, positive and finite;
-  fails (exit 1) if the lookup kernel falls below 1.0x the
-  dequantize-then-matmul baseline at batch 1, the paper's latency scenario.
-  Batch-8 throughput is recorded but not gated: with a prepared decode
-  amortized over many rows, BLAS on the dequantized matrix wins, and the
-  record documents that crossover honestly.
+* ``bench-kernels/v2`` — the resident-code kernel at the bert-base FC
+  shapes (768x768, 3072x768, 768x3072) and the row counts a served forward
+  runs (1, 32, 128), medians over repeats; every measurement present,
+  positive and finite.  Fails (exit 1) if the kernel is slower than the
+  decode-per-call ``dequantize_matmul`` baseline at any shape and row
+  count, or slower than 4.0x dense BLAS at 128 rows.
 * ``bench-serve/v1`` — serving-layer numbers; fails if the micro-batcher
   never fused concurrent requests (max batch size 1) or fused beyond its
   configured bound.  Absolute request rates are recorded, not gated —
@@ -39,22 +39,22 @@ import math
 import sys
 from pathlib import Path
 
-SCHEMA = "bench-kernels/v1"
+SCHEMA = "bench-kernels/v2"
 SERVE_SCHEMA = "bench-serve/v1"
 JOBS_SCHEMA = "bench-jobs/v1"
 METHODS_SCHEMA = "bench-methods/v1"
-GATE_SPEEDUP_BATCH1 = 1.0
+GATE_SPEEDUP_VS_DEQUANTIZE = 1.0
+GATE_VS_DENSE_ROWS = "128"
+GATE_VS_DENSE = 4.0
 GATE_SPEEDUP_FLEET = 1.0
 
-REQUIRED_MEASUREMENTS = (
-    "lookup_matmul_batch1_seconds",
-    "lookup_matmul_batch8_seconds",
-    "dequantize_matmul_batch1_seconds",
-    "dequantize_matmul_batch8_seconds",
-    "speedup_batch1",
-    "speedup_batch8",
-    "unpack_seconds",
-    "unpack_values_per_second",
+REQUIRED_MEASUREMENTS = ("unpack_seconds", "unpack_values_per_second")
+REQUIRED_ROW_MEASUREMENTS = (
+    "kernel_seconds",
+    "dequantize_seconds",
+    "dense_seconds",
+    "speedup_vs_dequantize",
+    "kernel_vs_dense",
 )
 REQUIRED_LAZY = (
     "archive_bytes",
@@ -63,7 +63,7 @@ REQUIRED_LAZY = (
     "bytes_touched_at_load",
     "bytes_touched_first_layer",
 )
-REQUIRED_CONFIG = ("shape", "bits", "batch_sizes", "repeats")
+REQUIRED_CONFIG = ("shapes", "rows", "bits", "repeats")
 
 REQUIRED_SERVE_MEASUREMENTS = (
     "sequential_request_seconds",
@@ -156,17 +156,41 @@ def check(path: Path) -> int:
             f"({lazy['bytes_touched_at_load']} of {lazy['archive_bytes']} bytes)"
         )
 
-    speedup = measurements["speedup_batch1"]
-    if speedup < GATE_SPEEDUP_BATCH1:
-        fail(
-            f"lookup kernel below {GATE_SPEEDUP_BATCH1:.1f}x the dequantize "
-            f"baseline at batch 1: {speedup:.3f}x"
-        )
-    shape = "x".join(str(d) for d in config["shape"])
+    shapes = measurements.get("shapes")
+    if not isinstance(shapes, dict):
+        fail("measurements.shapes missing")
+    worst_speedup, worst_dense = math.inf, 0.0
+    for out, inp in config["shapes"]:
+        shape = f"{out}x{inp}"
+        entry = shapes.get(shape)
+        if not isinstance(entry, dict) or not isinstance(entry.get("rows"), dict):
+            fail(f"measurements.shapes.{shape} missing or has no rows")
+        context = f"measurements.shapes.{shape}"
+        positive_number(entry, "resident_bytes_per_weight", context)
+        for rows in config["rows"]:
+            row = entry["rows"].get(str(rows))
+            if not isinstance(row, dict):
+                fail(f"{context}.rows.{rows} missing")
+            for key in REQUIRED_ROW_MEASUREMENTS:
+                positive_number(row, key, f"{context}.rows.{rows}")
+            speedup = row["speedup_vs_dequantize"]
+            worst_speedup = min(worst_speedup, speedup)
+            if speedup < GATE_SPEEDUP_VS_DEQUANTIZE:
+                fail(f"kernel below {GATE_SPEEDUP_VS_DEQUANTIZE:.1f}x the "
+                     f"dequantize baseline at {shape}, {rows} rows: {speedup:.3f}x")
+        dense = entry["rows"].get(GATE_VS_DENSE_ROWS)
+        if dense is None:
+            fail(f"{context} has no {GATE_VS_DENSE_ROWS}-row measurement to gate")
+        worst_dense = max(worst_dense, dense["kernel_vs_dense"])
+        if dense["kernel_vs_dense"] > GATE_VS_DENSE:
+            fail(f"kernel slower than {GATE_VS_DENSE:.1f}x dense BLAS at {shape}, "
+                 f"{GATE_VS_DENSE_ROWS} rows: {dense['kernel_vs_dense']:.3f}x")
     print(
-        f"check_bench: OK: {path} ({shape}, smoke={record['smoke']}) — "
-        f"batch-1 speedup {speedup:.2f}x, batch-8 {measurements['speedup_batch8']:.2f}x, "
-        f"unpack {measurements['unpack_values_per_second'] / 1e6:.0f}M values/s, "
+        f"check_bench: OK: {path} ({len(config['shapes'])} shapes x rows "
+        f"{config['rows']}, smoke={record['smoke']}) — worst "
+        f"{worst_speedup:.2f}x dequantize, worst {worst_dense:.2f}x dense at "
+        f"{GATE_VS_DENSE_ROWS} rows, unpack "
+        f"{measurements['unpack_values_per_second'] / 1e6:.0f}M values/s, "
         f"lazy load touched {lazy['bytes_touched_at_load']} of "
         f"{lazy['archive_bytes']} archive bytes"
     )

@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(func=_cmd_profile)
     serve = sub.add_parser(
         "serve",
-        help="serve quantized archives over HTTP: micro-batched lookup-kernel "
+        help="serve quantized archives over HTTP: micro-batched resident-code "
              "inference with hot-swap reload",
     )
     serve.add_argument(

@@ -1,52 +1,46 @@
-"""Matmul kernels that compute directly on GOBO's compressed representation.
+"""Matmul kernels that serve straight from resident centroid codes.
 
-The paper's latency/energy argument (Sections V-VI) is that inference never
-needs the FP32 weight matrix: a G-group weight is a ``bits``-wide centroid
-index, so a matrix-vector product can accumulate, for every output row, the
-partial sum of activations per centroid and finish with one ``2^bits``-wide
-dot against the reconstruction table — the few-unique-weights trick that
-cuts DRAM traffic ~10x in the accelerator.
+GOBO's accelerator (paper Section V) streams each ``bits``-wide weight code
+once and decodes it through a tiny centroid table in front of the MACs;
+Q8BERT deploys the same way, integer codes plus a scale feeding an ordinary
+GEMM.  :class:`TiledKernel` is the software form of that pipeline for
+``y = x @ W.T``:
 
-:class:`LookupKernel` is the software realization.  For ``y = x @ W.T``
-with ``W`` quantized:
+* **Resident state** — one code matrix of shape ``(out, in)``, ``uint8``
+  when ``bits <= 8`` and ``uint16`` otherwise, plus the sorted outlier
+  positions and values and the centroid table: about one byte per weight.
+  Outlier slots hold code 0, so no sentinel is needed and 8-bit tables
+  still fit in ``uint8``.
+* **Tiled decode** — per call, a tile of rows of ``W`` is decoded with one
+  table lookup (``np.take(table, codes[r0:r1])``), the tile's outliers
+  (a contiguous slice of the sorted positions, found once at construction)
+  are written over it, and BLAS computes ``y[:, r0:r1]``.  Tile rows come
+  from a fixed element budget, so the per-call scratch is bounded by the
+  budget rather than by the weight matrix.
 
-``y[b, j] = sum_c centroids[c] * S[b, j, c]  +  outlier corrections``
+The kernel holds no mutable scratch, so concurrent forwards over one kernel
+are safe.  GOBO's per-centroid accumulation inside the PE is not emulated
+here: its cost is modelled analytically (:mod:`repro.hw.latency`,
+:mod:`repro.memory.traffic`), and in NumPy a decode into BLAS is faster at
+every realistic row count.
 
-where ``S[b, j, c]`` sums the activations ``x[b, i]`` over the columns
-``i`` whose code in row ``j`` is ``c``.  The grouping of columns by
-centroid is a static property of the compressed tensor, so construction
-sorts each row's codes once (outlier slots get a sentinel code whose
-centroid value is 0) and the forward pass is three vectorized passes:
-
-1. gather the activation through the precomputed permutation,
-2. segment-sum it (one contiguous ``np.add.reduceat`` — this *is* the
-   per-centroid accumulation, all ``2^bits`` passes fused),
-3. scale by the per-segment centroid value and segment-sum again by row,
-   then scatter-add the sparse FP32 outlier corrections.
-
-No FP32 weight matrix is ever materialized: the kernel's resident state is
-the code permutation plus segment metadata, and the per-call temporaries
-are activation-sized, not weight-sized... per batch row.  (In silicon the
-permutation is free — the PE accumulates into one of ``2^bits`` registers
-selected by the streamed code.  In NumPy we pay index memory for the same
-effect; the archive stays the compressed source of truth.)
-
-:func:`dequantize_matmul` is the comparison baseline the benchmarks and the
-CI perf gate measure against: decode the tensor (bit-unpack, outlier
-scatter, centroid gather) on every call, then BLAS — what serving from a
-compressed archive costs *without* lookup kernels.
+:func:`dequantize_matmul` is the decode-per-call baseline the benchmarks
+and the CI perf gate compare against: decode the whole tensor (bit-unpack,
+outlier scatter, centroid gather) on every call, then BLAS.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.quantizer import GoboQuantizedTensor
-from repro.errors import ShapeError
+from repro.errors import QuantizationError, ShapeError
 from repro.obs import recorder as obs
 
-#: Per-call gather budget (elements) before the batch is processed in chunks.
-_CHUNK_ELEMENTS = 1 << 24
+#: Decode budget per tile (elements of ``W``); bounds the per-call scratch.
+_TILE_ELEMENTS = 1 << 18
 
 
 def _compute_dtype(x: np.ndarray) -> np.dtype:
@@ -57,8 +51,15 @@ def _compute_dtype(x: np.ndarray) -> np.dtype:
     return np.dtype(np.float64)
 
 
-class LookupKernel:
-    """Prepared per-centroid accumulation state for one 2-D quantized tensor.
+def _check_input(x: np.ndarray, in_features: int, who: str) -> None:
+    if x.ndim == 0 or x.shape[-1] != in_features:
+        raise ShapeError(
+            f"{who} expected last dim {in_features}, got input shape {x.shape}"
+        )
+
+
+class TiledKernel:
+    """Resident codes + tiled table decode + BLAS for one 2-D quantized tensor.
 
     Parameters
     ----------
@@ -72,64 +73,47 @@ class LookupKernel:
     def __init__(self, tensor: GoboQuantizedTensor) -> None:
         if len(tensor.shape) != 2:
             raise ShapeError(
-                f"LookupKernel requires a 2-D weight tensor, got shape {tensor.shape}"
+                f"TiledKernel requires a 2-D weight tensor, got shape {tensor.shape}"
             )
-        self.tensor = tensor
         self.out_features, self.in_features = tensor.shape
         self.bits = tensor.bits
-        n_centroids = int(tensor.centroids.size)
-        #: centroid table extended with a zero slot for outlier positions.
-        self.centroids_ext = np.append(
-            np.asarray(tensor.centroids, dtype=np.float64), 0.0
-        )
-        sentinel = n_centroids
 
         with obs.span(
             "kernels.prepare", rows=self.out_features, cols=self.in_features,
             bits=self.bits,
         ):
-            total = tensor.total_count
-            flat_codes = np.full(total, sentinel, dtype=np.int64)
+            order = np.argsort(tensor.outlier_positions, kind="stable")
+            self.outlier_positions = np.asarray(
+                tensor.outlier_positions, dtype=np.int64)[order]
+            self.outlier_values = np.asarray(
+                tensor.outlier_values, dtype=np.float64)[order]
+            # An all-outlier tensor may carry an empty table; code 0 must
+            # still decode (its slots are overwritten by the outliers).
+            centroids = np.asarray(tensor.centroids, dtype=np.float64)
+            self.centroids = centroids if centroids.size else np.zeros(1)
+            codes = np.zeros(tensor.total_count,
+                             dtype=np.uint8 if self.bits <= 8 else np.uint16)
             if tensor.gaussian_count:
-                mask = np.zeros(total, dtype=bool)
-                mask[tensor.outlier_positions] = True
-                flat_codes[~mask] = tensor.codes()
-            codes = flat_codes.reshape(tensor.shape)
+                inlier_codes = tensor.codes()
+                # matmul decodes with mode="clip" (no per-call bounds
+                # check), so a code past the table is rejected here.
+                if inlier_codes.max() >= centroids.size:
+                    raise QuantizationError(
+                        f"code {int(inlier_codes.max())} outside the "
+                        f"{centroids.size}-entry centroid table"
+                    )
+                inliers = np.ones(tensor.total_count, dtype=bool)
+                inliers[self.outlier_positions] = False
+                codes[inliers] = inlier_codes
+            self.codes = codes.reshape(tensor.shape)
 
-            if total == 0 or self.in_features == 0:
-                # Degenerate: no columns to accumulate over.
-                self._order = np.empty(tensor.shape, dtype=np.intp)
-                self._segment_starts = np.empty(0, dtype=np.intp)
-                self._segment_values = np.empty(0, dtype=np.float64)
-                self._row_starts = np.empty(0, dtype=np.intp)
-            else:
-                # Static grouping: per row, column order sorted by code.
-                self._order = np.argsort(codes, axis=1, kind="stable")
-                sorted_codes = np.take_along_axis(codes, self._order, axis=1)
-                # Offset codes per row so segment boundaries never span rows.
-                keys = (
-                    sorted_codes
-                    + np.arange(self.out_features, dtype=np.int64)[:, None]
-                    * (sentinel + 1)
-                ).ravel()
-                boundaries = np.flatnonzero(np.diff(keys)) + 1
-                self._segment_starts = np.concatenate(
-                    ([0], boundaries)
-                ).astype(np.intp)
-                segment_keys = keys[self._segment_starts]
-                segment_rows = segment_keys // (sentinel + 1)
-                self._segment_values = self.centroids_ext[
-                    segment_keys % (sentinel + 1)
-                ]
-                # First segment of each row (every row has >= 1 segment).
-                self._row_starts = np.searchsorted(
-                    segment_rows, np.arange(self.out_features)
-                ).astype(np.intp)
-
-            # Sparse FP32 outlier corrections: y[:, row] += x[:, col] * value.
-            self._outlier_rows = tensor.outlier_positions // max(self.in_features, 1)
-            self._outlier_cols = tensor.outlier_positions % max(self.in_features, 1)
-            self._outlier_values = np.asarray(tensor.outlier_values, dtype=np.float64)
+            self.tile_rows = max(1, _TILE_ELEMENTS // max(self.in_features, 1))
+            starts = np.arange(0, self.out_features, self.tile_rows)
+            #: Tile ``t``'s outliers are ``outlier_positions[b[t]:b[t + 1]]``.
+            self._outlier_bounds = np.searchsorted(
+                self.outlier_positions,
+                np.append(starts, self.out_features) * self.in_features,
+            )
 
         obs.counter("kernels.prepared")
         obs.counter("kernels.prepared_bytes", self.prepared_nbytes)
@@ -137,97 +121,69 @@ class LookupKernel:
     # ------------------------------------------------------------------ sizes
     @property
     def prepared_nbytes(self) -> int:
-        """Resident bytes of the prepared index state (the software cost of
-        emulating the accelerator's free in-PE centroid select)."""
+        """Resident bytes of the kernel state: codes, outliers and table."""
         return int(
-            self._order.nbytes
-            + self._segment_starts.nbytes
-            + self._segment_values.nbytes
-            + self._row_starts.nbytes
-            + self._outlier_rows.nbytes
-            + self._outlier_cols.nbytes
-            + self._outlier_values.nbytes
-            + self.centroids_ext.nbytes
+            self.codes.nbytes
+            + self.outlier_positions.nbytes
+            + self.outlier_values.nbytes
+            + self.centroids.nbytes
+            + self._outlier_bounds.nbytes
         )
 
     # ----------------------------------------------------------------- compute
     def matmul(self, x: np.ndarray) -> np.ndarray:
         """``x @ W.T`` for ``x`` of shape ``(..., in_features)``.
 
-        Accumulates per-centroid partial sums of the activation and applies
-        the FP32 outlier corrections; the FP32 weight matrix is never
-        built.  Float32 inputs are computed in float32 (the paper's decode
-        target), everything else in float64.
+        Float32 inputs are computed in float32 (the paper's decode target),
+        everything else in float64.  At most one tile of ``W`` is decoded
+        at a time; the full floating-point weight matrix is never built.
         """
         x = np.asarray(x)
-        if x.ndim == 0 or x.shape[-1] != self.in_features:
-            raise ShapeError(
-                f"LookupKernel expected last dim {self.in_features}, "
-                f"got input shape {x.shape}"
-            )
+        _check_input(x, self.in_features, "TiledKernel")
         dtype = _compute_dtype(x)
         lead = x.shape[:-1]
-        rows = int(np.prod(lead)) if lead else 1
+        rows = math.prod(lead)
         x2 = np.ascontiguousarray(x.reshape(rows, self.in_features), dtype=dtype)
-        y = np.zeros((rows, self.out_features), dtype=dtype)
+        y = np.empty((rows, self.out_features), dtype=dtype)
 
-        if self.in_features and self.out_features and self.tensor.total_count:
-            segment_values = self._segment_values.astype(dtype, copy=False)
-            outlier_values = self._outlier_values.astype(dtype, copy=False)
-            chunk = max(1, _CHUNK_ELEMENTS // max(self.out_features * self.in_features, 1))
-            for start in range(0, rows, chunk):
-                stop = min(start + chunk, rows)
-                gathered = x2[start:stop, self._order]
-                sums = np.add.reduceat(
-                    gathered.reshape(stop - start, -1), self._segment_starts, axis=1
-                )
-                sums *= segment_values
-                y_chunk = y[start:stop]
-                y_chunk[:] = np.add.reduceat(sums, self._row_starts, axis=1)
-                # The outlier correction lives inside the chunk loop so its
-                # gather temporary is bounded by the same _CHUNK_ELEMENTS
-                # budget as the code gather — a batch-wide gather on an
-                # outlier-heavy layer would allocate rows x n_outliers
-                # floats regardless of chunking.
-                if outlier_values.size:
-                    corrections = x2[start:stop, self._outlier_cols] * outlier_values
-                    np.add.at(y_chunk, (slice(None), self._outlier_rows), corrections)
+        table = self.centroids.astype(dtype, copy=False)
+        values = self.outlier_values.astype(dtype, copy=False)
+        scratch = np.empty(
+            (min(self.tile_rows, self.out_features), self.in_features), dtype=dtype
+        )
+        bounds = self._outlier_bounds
+        for tile, r0 in enumerate(range(0, self.out_features, self.tile_rows)):
+            r1 = min(r0 + self.tile_rows, self.out_features)
+            w = np.take(table, self.codes[r0:r1], out=scratch[: r1 - r0],
+                        mode="clip")
+            lo, hi = bounds[tile], bounds[tile + 1]
+            if hi > lo:
+                w.reshape(-1)[
+                    self.outlier_positions[lo:hi] - r0 * self.in_features
+                ] = values[lo:hi]
+            np.matmul(x2, w.T, out=y[:, r0:r1])
 
-        obs.counter("kernels.lookup_matmul_calls")
-        obs.counter("kernels.lookup_matmul_rows", rows)
+        obs.counter("kernels.matmul_calls")
+        obs.counter("kernels.matmul_rows", rows)
         return y.reshape(*lead, self.out_features)
 
     __call__ = matmul
-
-
-def lookup_matmul(x: np.ndarray, tensor: GoboQuantizedTensor) -> np.ndarray:
-    """One-shot ``x @ W.T`` on the compressed ``tensor``.
-
-    Convenience wrapper that builds a :class:`LookupKernel` per call; for a
-    serving path, construct the kernel once (see
-    :class:`repro.nn.QuantizedLinear`).
-    """
-    return LookupKernel(tensor).matmul(x)
 
 
 def dequantize_matmul(x: np.ndarray, tensor: GoboQuantizedTensor) -> np.ndarray:
     """The decode-per-call baseline: reconstruct ``W`` in floating point,
     then ``x @ W.T`` via BLAS.
 
-    This is what serving from a compressed archive costs without lookup
-    kernels, and the denominator of the ``BENCH_kernels.json`` speedup the
-    CI perf gate enforces.
+    This is what serving from a compressed archive costs without resident
+    codes, and the denominator of the kernel speedup the
+    ``BENCH_kernels.json`` gate enforces.
     """
     x = np.asarray(x)
     if len(tensor.shape) != 2:
         raise ShapeError(
             f"dequantize_matmul requires a 2-D weight tensor, got shape {tensor.shape}"
         )
-    if x.ndim == 0 or x.shape[-1] != tensor.shape[1]:
-        raise ShapeError(
-            f"dequantize_matmul expected last dim {tensor.shape[1]}, "
-            f"got input shape {x.shape}"
-        )
+    _check_input(x, tensor.shape[1], "dequantize_matmul")
     dtype = _compute_dtype(x)
     weights = tensor.dequantize(dtype=dtype)
     return x.astype(dtype, copy=False) @ weights.T

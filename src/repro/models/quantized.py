@@ -1,17 +1,21 @@
 """Wire a :class:`~repro.core.model_quantizer.QuantizedModel` into a live
 network so inference runs on the compressed representation.
 
-:func:`attach_quantized_linears` swaps every quantized FC ``Linear`` for a
-:class:`~repro.nn.QuantizedLinear` routed through the lookup kernels of
-:mod:`repro.kernels`.  After the swap, a forward pass never calls
-``dequantize()`` — asserted in the tests via the
-``quantizer.dequantize_calls`` obs counter — while everything GOBO leaves
-FP32 (biases, LayerNorm, embeddings, heads) is loaded as usual.
+:func:`attach_quantized_linears` builds the served model straight from the
+archive: every quantized FC ``Linear`` becomes a
+:class:`~repro.nn.QuantizedLinear` whose :class:`~repro.kernels.TiledKernel`
+keeps the weight as resident codes, and only what GOBO leaves FP32
+(biases, LayerNorm, heads, fallback layers) plus the quantized non-FC
+tensors (embeddings) are decoded into the network.  No FC weight is ever
+dequantized — at attach time or during a forward — which the tests assert
+via the ``quantizer.dequantize_calls`` obs counter.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import QuantizationError
 from repro.nn.layers import Linear
@@ -36,22 +40,24 @@ def _resolve(model: Module, dotted: str) -> tuple[Module, str]:
 
 
 def attach_quantized_linears(model: Module, qmodel: QuantizedModel) -> Module:
-    """Load ``qmodel`` into ``model`` and swap its quantized FC layers for
-    :class:`~repro.nn.QuantizedLinear` modules.
+    """Swap ``model``'s quantized FC layers for
+    :class:`~repro.nn.QuantizedLinear` modules, then load the rest of
+    ``qmodel`` into it.
 
     Two phases:
 
-    1. ``qmodel.apply_to(model)`` loads the full reconstructed state dict —
-       the one-time setup decode (embeddings, biases, and any layer that
-       fell back to FP32).  This is the only point that dequantizes.
-    2. Every FC weight present in ``qmodel.quantized`` has its ``Linear``
-       replaced by a ``QuantizedLinear`` wrapping the compressed tensor, so
-       subsequent forwards compute via lookup kernels with no FP32 weight
-       matrix resident.
+    1. Every FC weight present in ``qmodel.quantized`` has its ``Linear``
+       replaced by a ``QuantizedLinear`` over the compressed tensor, so
+       forwards compute from resident codes with no FP32 weight matrix.
+    2. The network loads ``qmodel.fp32`` (biases — including those of the
+       new ``QuantizedLinear`` modules — LayerNorm, heads and any layer
+       that fell back to FP32) plus the dequantized non-FC quantized
+       tensors (embeddings).  That is the only decode; no FC weight is
+       ever dequantized.
 
     Returns ``model`` in eval mode (``QuantizedLinear`` is inference-only).
     """
-    qmodel.apply_to(model)
+    swapped = set()
     for name in qmodel.fc_names:
         tensor = qmodel.quantized.get(name)
         if tensor is None:  # fp32-fallback or dropped layer: leave the Linear.
@@ -65,5 +71,11 @@ def attach_quantized_linears(model: Module, qmodel: QuantizedModel) -> Module:
                 f"expected a Linear at {name[: -len('.weight')]!r}, got "
                 f"{type(linear).__name__}"
             )
-        setattr(parent, attr, QuantizedLinear.from_linear(linear, tensor))
+        setattr(parent, attr, QuantizedLinear(tensor))
+        swapped.add(name)
+    state = dict(qmodel.fp32)
+    for name in qmodel.quantized:
+        if name not in swapped:
+            state[name] = qmodel.quantized[name].dequantize(dtype=np.float64)
+    model.load_state_dict(state)
     return model.eval()

@@ -2,10 +2,11 @@
 
 :class:`QuantizedLinear` is the module-level face of :mod:`repro.kernels`:
 it wraps one :class:`~repro.core.quantizer.GoboQuantizedTensor` and routes
-the forward pass through a prepared :class:`~repro.kernels.LookupKernel`,
-so ``y = x W^T + b`` runs without ever materializing the FP32 weight
-matrix.  The bias (which GOBO leaves FP32) stays a plain
-:class:`~repro.nn.module.Parameter`.
+the forward pass through a :class:`~repro.kernels.TiledKernel`, which keeps
+the weight resident as a ``uint8`` code matrix (about one byte per weight)
+and decodes one bounded row tile at a time into BLAS, so ``y = x W^T + b``
+runs without ever materializing the FP32 weight matrix.  The bias (which
+GOBO leaves FP32) stays a plain :class:`~repro.nn.module.Parameter`.
 
 It is deliberately inference-only: GOBO quantizes *trained* models, and the
 paper's latency/energy numbers are for serving.  Calling it in training
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro.core.quantizer import GoboQuantizedTensor
 from repro.errors import ShapeError
-from repro.kernels import LookupKernel
+from repro.kernels import TiledKernel
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
@@ -49,7 +50,7 @@ class QuantizedLinear(Module):
             )
         self.out_features, self.in_features = tensor.shape
         self.tensor = tensor
-        self.kernel = LookupKernel(tensor)
+        self.kernel = TiledKernel(tensor)
         if bias is None:
             bias = np.zeros(self.out_features, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)

@@ -5,7 +5,7 @@ on weights that never leave their compressed form.  This package is the
 system-level realization over the repo's software kernels —
 
 * :mod:`repro.serve.registry` — named, hot-swappable models loaded lazily
-  from checksummed archives (``verify="lazy"``) with lookup-kernel Linears
+  from checksummed archives (``verify="lazy"``) with resident-code Linears
   attached;
 * :mod:`repro.serve.batcher` — the micro-batching queue that amortizes one
   kernel forward across concurrent requests, plus the worker watchdog that

@@ -1,9 +1,9 @@
-"""Micro-batching queue: amortize lookup-kernel forwards across requests.
+"""Micro-batching queue: amortize compressed-model forwards across requests.
 
-The lookup kernels are batch-oriented — one ``np.add.reduceat`` sweep costs
-nearly the same for 1 row as for 16 (the gather dominates, and the prepared
-permutation is reused) — so a serving path that forwards each HTTP request
-alone leaves most of the kernel's throughput on the floor.
+The resident-code kernels are batch-oriented — each call decodes every
+weight tile once and hands it to BLAS, so the decode costs the same for 1
+row as for 16 — and a serving path that forwards each HTTP request alone
+leaves most of the kernel's throughput on the floor.
 :class:`MicroBatcher` collects concurrent requests for up to
 ``batch_window`` seconds (or ``max_batch`` items, whichever comes first),
 pads them into one ``(batch, seq)`` tensor with an attention mask, runs a
@@ -16,9 +16,8 @@ Threading contract:
   then :meth:`wait` (blocks until the batch completes or the request's
   deadline expires → :class:`~repro.errors.RequestTimeoutError`).
 * One worker thread drains the queue.  A single worker serializes forwards
-  deliberately: NumPy kernels are already multi-core via BLAS-free
-  vectorized sweeps, and one-at-a-time batches keep per-request latency
-  predictable.
+  deliberately: the kernels already run multi-core inside BLAS, and
+  one-at-a-time batches keep per-request latency predictable.
 * A **watchdog thread** supervises the worker (DESIGN.md §5i).  Every
   forward registers an in-flight record with a deadline
   (``forward_timeout`` seconds); the watchdog failing that deadline — or

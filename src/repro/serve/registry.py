@@ -5,8 +5,8 @@ Each registered model is one :class:`ModelEntry`: a lazily-loaded
 every archive member is CRC-checked on first touch) attached into a
 :class:`~repro.models.bert.BertModel` via
 :func:`~repro.models.quantized.attach_quantized_linears` — after which the
-request path computes on the compressed representation through lookup
-kernels and never calls ``dequantize()``.
+request path computes from resident centroid codes
+(:class:`~repro.kernels.TiledKernel`) and never calls ``dequantize()``.
 
 Hot-swap discipline (the part worth getting right):
 

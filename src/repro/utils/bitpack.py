@@ -20,10 +20,10 @@ Two implementations share that layout:
   which expands each value into its bits before calling ``np.packbits`` —
   correct but ~``bits``x the payload in temporaries.
 
-The fast path matters: the lookup kernels in :mod:`repro.kernels` unpack
-codes on the serving path, where the fallback's ``count x bits`` uint64
-bit matrix (~24x the payload for 3-bit codes on a 768x768 layer) would
-dominate the latency the kernel is meant to remove.
+The fast path matters: every register and hot-swap reload unpacks each
+layer's codes into the resident code matrix of :mod:`repro.kernels`, where
+the fallback's ``count x bits`` uint64 bit matrix (~24x the payload for
+3-bit codes on a 768x768 layer) would dominate setup time and peak memory.
 """
 
 from __future__ import annotations

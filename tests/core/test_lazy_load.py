@@ -29,7 +29,7 @@ from repro.errors import (
     SerializationError,
     TruncatedArchiveError,
 )
-from repro.kernels import LookupKernel, dequantize_matmul
+from repro.kernels import TiledKernel, dequantize_matmul
 from repro.models import BertModel, attach_quantized_linears
 from repro.testing.faults import corrupt_bytes
 from repro.testing.golden import GOLDEN_VERSIONS, golden_path, write_golden
@@ -301,19 +301,21 @@ class TestLazyEagerEquivalence:
             np.testing.assert_array_equal(state[name], expected[name])
 
     def test_lazy_tensor_feeds_lookup_kernel(self, saved_archive):
-        """Serving straight from the map: kernel over a lazy tensor."""
+        """Serving straight from the map: kernel over a lazy tensor.  The
+        resident codes are the kernel's own, so it keeps serving after the
+        archive is closed."""
         _, path = saved_archive
         lazy = load_quantized_model(path, lazy=True)
         name = lazy.fc_names[0]
         tensor = lazy.quantized[name]
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, tensor.shape[1]))
-        np.testing.assert_allclose(
-            LookupKernel(tensor).matmul(x),
-            dequantize_matmul(x, tensor),
-            rtol=1e-9,
-            atol=1e-12,
-        )
+        kernel = TiledKernel(tensor)
+        reference = dequantize_matmul(x, tensor)
+        np.testing.assert_allclose(kernel.matmul(x), reference, rtol=1e-9, atol=1e-12)
+        assert kernel.codes.dtype == np.uint8
+        lazy.quantized.close()
+        np.testing.assert_allclose(kernel.matmul(x), reference, rtol=1e-9, atol=1e-12)
 
     def test_attach_quantized_linears_from_lazy_model(self, saved_archive):
         _, path = saved_archive

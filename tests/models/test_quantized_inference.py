@@ -67,13 +67,28 @@ class TestAttach:
             compressed(input_ids)
         names = [event["name"] for event in trace.events]
         assert "quantizer.dequantize_calls" not in names
-        assert names.count("kernels.lookup_matmul_calls") == len(qmodel.fc_names)
+        assert names.count("kernels.matmul_calls") == len(qmodel.fc_names)
 
     def test_baseline_forward_does_not_use_kernels(self, quantized_setup):
         _, reference, _ = quantized_setup
         with obs.scope() as trace:
             reference(micro_inputs())
-        assert "kernels.lookup_matmul_calls" not in [e["name"] for e in trace.events]
+        assert "kernels.matmul_calls" not in [e["name"] for e in trace.events]
+
+    def test_attach_decodes_only_non_fc_tensors(self, quantized_setup):
+        """Attach builds straight from the archive: the only decodes are
+        the quantized non-FC tensors (embeddings), never an FC weight."""
+        qmodel, _, _ = quantized_setup
+        non_fc = [name for name in qmodel.quantized if name not in qmodel.fc_names]
+        assert non_fc  # embeddings are quantized in this setup
+        with obs.scope() as trace:
+            attach_quantized_linears(BertModel(MICRO_CONFIG, rng=1), qmodel)
+        names = [event["name"] for event in trace.events]
+        assert names.count("quantizer.dequantize_calls") == len(non_fc)
+        decoded = sum(e["value"] for e in trace.events
+                      if e["name"] == "quantizer.dequantize_bytes")
+        expected = sum(qmodel.quantized[name].total_count * 8 for name in non_fc)
+        assert decoded == expected  # float64 decodes of exactly those tensors
 
     def test_fp32_fallback_layer_keeps_its_linear(self):
         model = BertModel(MICRO_CONFIG, rng=3).eval()

@@ -58,7 +58,7 @@ class TestForward:
             qlinear(x)
         names = [event["name"] for event in trace.events]
         assert "quantizer.dequantize_calls" not in names
-        assert "kernels.lookup_matmul_calls" in names
+        assert "kernels.matmul_calls" in names
 
 
 class TestContract:

@@ -23,6 +23,7 @@ from repro.core.serialization import (
 from repro.errors import DegenerateTensorError, NonFiniteWeightError
 from repro.models.zoo import build_model
 from repro.quant.registry import available_specs, build_quantizer
+from repro.serve import ModelRegistry
 from repro.testing.faults import InjectedFault, RaiseOnLayer
 from tests.conftest import MICRO_CONFIG
 
@@ -130,6 +131,34 @@ class TestSerialization:
             assert set(got) == set(want)
             for name in want:
                 np.testing.assert_array_equal(got[name], want[name], err_msg=f"{spec}:{name}")
+
+
+@pytest.mark.parametrize("spec", SPECS)
+class TestServedForward:
+    def test_registered_model_matches_dense_forward(
+        self, spec, state, selection, tmp_path
+    ):
+        """The served forward (registry → resident-code kernels) equals the
+        dense ``apply_to`` forward of the same archive, for every method —
+        including the 8-bit Q8BERT and 16-bit Q-BERT code tables."""
+        path = tmp_path / "model.npz"
+        save_quantized_model(quantize_spec(spec, state, selection), path)
+        dense = load_quantized_model(path).apply_to(
+            build_model(MICRO_CONFIG, task="encoder", rng=0)
+        ).eval()
+        registry = ModelRegistry()
+        try:
+            served = registry.register(spec, path, config=MICRO_CONFIG).model
+            rng = np.random.default_rng(11)
+            input_ids = rng.integers(0, MICRO_CONFIG.vocab_size, size=(3, 10))
+            mask = np.ones_like(input_ids)
+            mask[1, 6:] = 0
+            _, want = dense(input_ids, mask)
+            _, got = served(input_ids, mask)
+        finally:
+            registry.close()
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-9,
+                                   err_msg=spec)
 
 
 @pytest.mark.parametrize("spec", SPECS)

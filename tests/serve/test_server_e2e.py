@@ -71,15 +71,15 @@ class TestRequestPath:
         statuses = [status for status, _ in results]
         assert statuses == [200] * count
         # The request path never decodes the weights: computing happened on
-        # the compressed representation via lookup kernels.
+        # the compressed representation via the resident-code kernels.
         dequantizes = [event for event in trace.events
                        if event["name"] == "quantizer.dequantize_calls"]
         assert dequantizes == []
-        lookup_calls = sum(
+        kernel_calls = sum(
             event["value"] for event in trace.events
-            if event["name"] == "kernels.lookup_matmul_calls"
+            if event["name"] == "kernels.matmul_calls"
         )
-        assert lookup_calls > 0
+        assert kernel_calls > 0
         # Every request emitted a serve.request span...
         request_spans = [
             event for event in trace.events
