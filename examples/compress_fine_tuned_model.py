@@ -40,17 +40,17 @@ def main() -> None:
             f"outliers {quantized.outlier_fraction() * 100:.3f}%"
         )
 
-    # Baselines through the same interface.
+    # Baselines through the same engine and result type.
     selection = select_parameters(model)
     state = model.state_dict()
-    for quantizer in (Q8BertQuantizer(), QBertQuantizer(weight_bits=3, num_groups=16)):
-        compressed = quantizer.compress(state, selection.fc_names, selection.embedding_names)
-        probe.load_state_dict(compressed.state_dict())
+    for quantizer in (Q8BertQuantizer(), QBertQuantizer(weight_bits=3)):
+        quantized = quantizer.quantize(state, selection.fc_names, selection.embedding_names)
+        quantized.apply_to(probe)
         score = evaluate(probe, splits.eval)
         print(
             f"{quantizer.name}: accuracy {score * 100:.2f}% "
             f"(error {(baseline - score) * 100:+.2f}%), "
-            f"CR {compressed.compression_ratio():.2f}x"
+            f"CR {quantized.model_compression_ratio():.2f}x on this model"
         )
 
 

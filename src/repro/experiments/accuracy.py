@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.core.model_quantizer import quantize_model
+from repro.core.model_quantizer import quantize_model, select_parameters
 from repro.core.policy import LayerPolicy
 from repro.data import generate_mnli, generate_squad, generate_stsb
 from repro.data.task import TaskSplits
@@ -143,6 +143,17 @@ def quantized_score(
         workers=workers,
     )
     probe = _build(finetuned.config_name, recipe)
+    quantized.apply_to(probe)
+    return evaluate(probe, finetuned.splits.eval)
+
+
+def quantizer_score(finetuned: FinetunedModel, quantizer) -> float:
+    """Evaluate ``finetuned`` after a whole-model quantizer's ``quantize``."""
+    selection = select_parameters(finetuned.model)
+    quantized = quantizer.quantize(
+        finetuned.model.state_dict(), selection.fc_names, selection.embedding_names
+    )
+    probe = _build(finetuned.config_name, RECIPES[finetuned.task])
     quantized.apply_to(probe)
     return evaluate(probe, finetuned.splits.eval)
 

@@ -24,6 +24,7 @@ from repro.experiments.accuracy import (
     error_vs_baseline,
     get_finetuned,
     quantized_score,
+    quantizer_score,
 )
 from repro.models import get_config
 from repro.models.config import BertConfig
@@ -37,6 +38,8 @@ from repro.models.footprint import (
     total_parameter_count,
 )
 from repro.models.zoo import build_model, fc_layer_shapes, synthetic_model_weights
+from repro.quant.q8bert import Q8BertQuantizer
+from repro.quant.qbert import NUM_GROUPS, QBertQuantizer
 from repro.utils.tables import format_table
 
 
@@ -101,13 +104,17 @@ def fp32_model_bytes(config: BertConfig, include_embeddings: bool = True) -> int
     return total
 
 
-def qbert_model_bytes(config: BertConfig, weight_bits: int, num_groups: int = 128) -> int:
-    """Q-BERT-like compressed size: per-group dictionaries + 8-bit embeddings."""
+def qbert_model_bytes(config: BertConfig, weight_bits: int) -> int:
+    """Q-BERT's native layout: per-group dictionaries + 8-bit embeddings.
+
+    Q-BERT archives store block-offset global codes instead (see
+    :mod:`repro.quant.qbert`); Table III reports this analytical layout.
+    """
     total = 0
     for _, shape in fc_layer_shapes(config):
         count = shape[0] * shape[1]
         total += count * weight_bits // 8
-        total += num_groups * (1 << weight_bits) * BYTES_PER_FP32
+        total += NUM_GROUPS * (1 << weight_bits) * BYTES_PER_FP32
     total += embedding_table_count(config)  # 8-bit embeddings: 1 byte each
     return total
 
@@ -258,33 +265,13 @@ def table3_method_comparison(full_scale_model: str = "bert-base", use_cache: boo
     ]
 
     # Q8BERT: 8-bit fixed point on weights and embeddings, fine-tuned.
-    from repro.core.model_quantizer import select_parameters
-    from repro.quant import Q8BertQuantizer, QBertQuantizer
-
-    selection = select_parameters(finetuned.model)
-    state = finetuned.model.state_dict()
-
-    def eval_compressed(compressed) -> float:
-        from repro.experiments.accuracy import RECIPES, _build
-        from repro.training import evaluate
-
-        probe = _build(finetuned.config_name, RECIPES[finetuned.task])
-        probe.load_state_dict(compressed.state_dict())
-        return evaluate(probe, finetuned.splits.eval)
-
-    q8_score = eval_compressed(
-        Q8BertQuantizer().compress(state, selection.fc_names, selection.embedding_names)
-    )
+    q8_score = quantizer_score(finetuned, Q8BertQuantizer())
     rows.append(
         ["Q8BERT", "8-bit", "8-bit", _pct(q8_score), _pct(error_vs_baseline(baseline, q8_score)),
          "no", f"{cr(q8bert_model_bytes(config)):.2f}x"]
     )
     for bits in (3, 4):
-        qb_score = eval_compressed(
-            QBertQuantizer(weight_bits=bits).compress(
-                state, selection.fc_names, selection.embedding_names
-            )
-        )
+        qb_score = quantizer_score(finetuned, QBertQuantizer(weight_bits=bits))
         rows.append(
             [f"Q-BERT", f"{bits}-bit", "8-bit", _pct(qb_score),
              _pct(error_vs_baseline(baseline, qb_score)), "no",
@@ -317,11 +304,10 @@ def table3_method_zoo(
     paper's lineup plus the post-training zoo (zero-shot dynamic,
     gradient-aware outliers, mixed-precision allocation).  Accuracy is
     measured on the fine-tuned tiny stand-in through each quantizer's
-    ``compress`` path; compression ratios are computed at the real model
+    ``quantize``; compression ratios are computed at the real model
     dimensions via :func:`zoo_model_bytes`.  A method registered through the
     registry lands here with no further wiring.
     """
-    from repro.core.model_quantizer import select_parameters
     from repro.quant.registry import available_specs, build_quantizer
 
     config = get_config(full_scale_model)
@@ -329,23 +315,10 @@ def table3_method_zoo(
     baseline = finetuned.baseline_score
     fp32_bytes = fp32_model_bytes(config)
     outlier_fraction = _average_outlier_fraction(full_scale_model)
-    selection = select_parameters(finetuned.model)
-    state = finetuned.model.state_dict()
-
-    def eval_compressed(compressed) -> float:
-        from repro.experiments.accuracy import RECIPES, _build
-        from repro.training import evaluate
-
-        probe = _build(finetuned.config_name, RECIPES[finetuned.task])
-        probe.load_state_dict(compressed.state_dict())
-        return evaluate(probe, finetuned.splits.eval)
 
     rows = [["Baseline", _pct(baseline), "-", "1.00x"]]
     for spec in specs if specs is not None else available_specs():
-        quantizer = build_quantizer(spec)
-        score = eval_compressed(
-            quantizer.compress(state, selection.fc_names, selection.embedding_names)
-        )
+        score = quantizer_score(finetuned, build_quantizer(spec))
         ratio = fp32_bytes / zoo_model_bytes(config, spec, outlier_fraction)
         rows.append(
             [spec, _pct(score), _pct(error_vs_baseline(baseline, score)),

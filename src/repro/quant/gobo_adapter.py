@@ -1,4 +1,4 @@
-"""Adapter exposing GOBO through the baseline :class:`ModelQuantizer` interface."""
+"""Adapter exposing GOBO through the baselines' :class:`EngineBackedQuantizer` interface."""
 
 from __future__ import annotations
 

@@ -7,7 +7,9 @@ rounding error at 8 bits is small enough that the tiny models tolerate it
 directly, and an optional quantization-aware fine-tuning hook is provided by
 :func:`fake_quantize_model` for parity experiments).  Storage: one int8 per
 weight plus a scale per tensor, a fixed 4x compression over FP32 — the
-paper's Table III row.
+paper's Table III row, modelled by
+:func:`repro.experiments.tables.q8bert_model_bytes`.  Engine archives hold
+the same int8 codes plus the grid's 256 levels as an FP32 table per tensor.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from repro.core.quantizer import (
     single_pass_result,
 )
 from repro.errors import QuantizationError
-from repro.quant.base import CompressedModel, CompressedTensor, EngineBackedQuantizer
+from repro.quant.base import EngineBackedQuantizer
+
+#: Q8BERT's fixed-point width for weights and embeddings.
+BITS = 8
 
 
 def symmetric_quantize(values: np.ndarray, bits: int = 8) -> tuple[np.ndarray, float]:
@@ -75,20 +80,13 @@ register_tensor_method("q8bert-grid", _q8bert_grid_method)
 class Q8BertQuantizer(EngineBackedQuantizer):
     """Whole-model 8-bit fixed-point quantization (weights + embeddings).
 
-    :meth:`compress` keeps the method's native storage accounting (one int8
-    per weight + one FP32 scale); :meth:`quantize` (inherited) runs the same
-    grid through the engine as the ``"q8bert-grid"`` tensor method, so
-    Q8BERT models flow through format v3 archives, durable jobs and the
+    The grid runs through the engine as the ``"q8bert-grid"`` tensor method,
+    so Q8BERT models flow through format v3 archives, durable jobs and the
     serving stack like any other method.
     """
 
     name = "q8bert"
     requires_finetuning = True  # the original method fine-tunes; see module doc
-
-    def __init__(self, bits: int = 8) -> None:
-        if not 2 <= bits <= 16:
-            raise QuantizationError(f"bits must be in [2, 16], got {bits}")
-        self.bits = bits
 
     def engine_options(
         self,
@@ -96,32 +94,7 @@ class Q8BertQuantizer(EngineBackedQuantizer):
         fc_names: tuple[str, ...],
         embedding_names: tuple[str, ...],
     ) -> dict:
-        return {
-            "weight_bits": self.bits,
-            "embedding_bits": self.bits,
-            "method": "q8bert-grid",
-        }
-
-    def compress(
-        self,
-        state: dict[str, np.ndarray],
-        fc_names: tuple[str, ...],
-        embedding_names: tuple[str, ...],
-    ) -> CompressedModel:
-        targets = (*fc_names, *embedding_names)
-        missing = [n for n in targets if n not in state]
-        if missing:
-            raise QuantizationError(f"state dict is missing tensors: {missing}")
-        tensors: dict[str, CompressedTensor] = {}
-        for name in targets:
-            codes, scale = symmetric_quantize(state[name], self.bits)
-            nbytes = codes.size * self.bits // 8 + 4  # codes + FP32 scale
-            tensors[name] = CompressedTensor(
-                reconstructed=symmetric_dequantize(codes, scale).reshape(state[name].shape),
-                compressed_bytes=nbytes,
-            )
-        fp32 = {n: v for n, v in state.items() if n not in tensors}
-        return CompressedModel(method=self.name, tensors=tensors, fp32=fp32)
+        return {"weight_bits": BITS, "embedding_bits": BITS, "method": "q8bert-grid"}
 
 
 def enable_activation_quantization(model, bits: int = 8) -> int:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.formats import storage_report
 from repro.errors import QuantizationError
 from repro.models.heads import BertForSequenceClassification
 from repro.core.model_quantizer import select_parameters
@@ -55,36 +56,56 @@ class TestSymmetricQuantize:
 
 class TestQ8BertQuantizer:
     @pytest.fixture(scope="class")
-    def compressed(self):
+    def quantized(self):
         model = BertForSequenceClassification(MICRO_CONFIG, num_labels=3, rng=0)
         selection = select_parameters(model)
         return (
             model,
-            Q8BertQuantizer().compress(
+            Q8BertQuantizer().quantize(
                 model.state_dict(), selection.fc_names, selection.embedding_names
             ),
         )
 
-    def test_compression_ratio_near_4x(self, compressed):
-        # Exactly 4x asymptotically; micro tensors pay a tiny scale overhead.
-        _, result = compressed
-        assert result.compression_ratio() == pytest.approx(4.0, rel=0.05)
-
-    def test_reconstruction_close(self, compressed):
-        model, result = compressed
+    def test_matches_symmetric_reference_bit_for_bit(self, quantized):
+        # Pins the engine's q8bert-grid method to the reference arithmetic:
+        # Table III's Q8BERT accuracy is computed from exactly these values.
+        model, result = quantized
         state = model.state_dict()
-        for name, tensor in result.tensors.items():
-            error = np.abs(tensor.reconstructed - state[name]).mean()
+        selection = select_parameters(model)
+        assert set(result.quantized) == set(selection.fc_names + selection.embedding_names)
+        reconstructed = result.state_dict()
+        for name in result.quantized:
+            codes, scale = symmetric_quantize(state[name], 8)
+            want = symmetric_dequantize(codes, scale).reshape(state[name].shape)
+            np.testing.assert_array_equal(reconstructed[name], want, err_msg=name)
+
+    def test_archive_bytes_are_codes_plus_table(self, quantized):
+        # One 8-bit code per weight plus a 256-entry FP32 table per tensor.
+        _, result = quantized
+        original = compressed = 0
+        for name, tensor in result.quantized.items():
+            count = tensor.total_count
+            assert tensor.storage() == storage_report(count, 0, 8), name
+            assert tensor.storage().compressed_bytes == count + 256 * 4, name
+            original += count * 4
+            compressed += count + 256 * 4
+        assert result.model_compression_ratio() == original / compressed
+
+    def test_reconstruction_close(self, quantized):
+        model, result = quantized
+        state = model.state_dict()
+        for name, tensor in result.quantized.items():
+            error = np.abs(tensor.dequantize(np.float64) - state[name]).mean()
             assert error < 0.01, name
 
-    def test_state_dict_loadable(self, compressed):
-        model, result = compressed
+    def test_state_dict_loadable(self, quantized):
+        _, result = quantized
         probe = BertForSequenceClassification(MICRO_CONFIG, num_labels=3, rng=1)
         probe.load_state_dict(result.state_dict())
 
     def test_missing_tensor_rejected(self):
         with pytest.raises(QuantizationError):
-            Q8BertQuantizer().compress({}, ("nope",), ())
+            Q8BertQuantizer().quantize({}, ("nope",), ())
 
 
 class TestFakeQuantize:
