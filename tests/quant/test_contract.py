@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.model_quantizer import select_parameters
+from repro.core.quantizer import resolve_tensor_method
 from repro.core.serialization import (
     load_quantized_model,
     save_quantized_model,
@@ -102,7 +103,6 @@ class TestReconstruction:
         expected = set(selection.fc_names) | set(selection.embedding_names)
         assert set(quantized.quantized) == expected
         assert not quantized.report.failures
-        assert quantized.model_compression_ratio() > 0
 
     def test_dequantize_error_is_bounded(self, spec, state, selection):
         quantized = quantize_spec(spec, state, selection)
@@ -240,3 +240,22 @@ class TestFaultPolicies:
         assert survivors <= set(quantized.quantized)
         failures = {f.name: f for f in quantized.report.failures}
         assert failures[target].action == "skip" and failures[target].dropped
+
+
+@pytest.mark.parametrize("spec", SPECS)
+class TestCompressContract:
+    def test_compress_reports_its_method(self, spec, state, selection):
+        quantizer = build_quantizer(spec)
+        options = quantizer.engine_options(
+            state, selection.fc_names, selection.embedding_names
+        )
+        # The tensor method each quantizer hands the engine must resolve.
+        assert callable(resolve_tensor_method(options["method"]))
+        quantized = quantizer.quantize(
+            state, selection.fc_names, selection.embedding_names
+        )
+        covered = set(selection.fc_names) | set(selection.embedding_names)
+        assert covered <= set(quantized.quantized)
+        assert quantized.model_compression_ratio() > 0
+        reconstructed = quantized.state_dict()
+        assert set(reconstructed) == set(state)
