@@ -14,10 +14,14 @@ The record's ``schema`` field selects the contract:
   positive and finite.  Fails (exit 1) if the kernel is slower than the
   decode-per-call ``dequantize_matmul`` baseline at any shape and row
   count, or slower than 4.0x dense BLAS at 128 rows.
-* ``bench-serve/v1`` — serving-layer numbers; fails if the micro-batcher
-  never fused concurrent requests (max batch size 1) or fused beyond its
-  configured bound.  Absolute request rates are recorded, not gated —
-  they are hardware-dependent; fusion is a correctness property.
+* ``bench-serve/v2`` — serving-layer numbers: p50/p95/p99 latency of
+  sequential requests at each configured length, in-process through the
+  micro-batcher and as keep-alive HTTP round trips to a real server.
+  Fails if HTTP p50 exceeds in-process p50 by 20 ms or more at any length
+  (a Nagle / delayed-ACK stall adds >= 40 ms per response), if the
+  micro-batcher never fused concurrent requests (max batch size 1), or
+  if it fused beyond its configured bound.  Absolute latencies and
+  request rates are recorded, not gated — they are hardware-dependent.
 * ``bench-jobs/v1`` — thread pool vs supervised process fleet; always
   fails unless the two backends produced byte-identical quantized tensors
   (crash isolation must be free in output).  The
@@ -40,13 +44,14 @@ import sys
 from pathlib import Path
 
 SCHEMA = "bench-kernels/v2"
-SERVE_SCHEMA = "bench-serve/v1"
+SERVE_SCHEMA = "bench-serve/v2"
 JOBS_SCHEMA = "bench-jobs/v1"
 METHODS_SCHEMA = "bench-methods/v1"
 GATE_SPEEDUP_VS_DEQUANTIZE = 1.0
 GATE_VS_DENSE_ROWS = "128"
 GATE_VS_DENSE = 4.0
 GATE_SPEEDUP_FLEET = 1.0
+GATE_HTTP_OVERHEAD_MS = 20.0
 
 REQUIRED_MEASUREMENTS = ("unpack_seconds", "unpack_values_per_second")
 REQUIRED_ROW_MEASUREMENTS = (
@@ -66,7 +71,6 @@ REQUIRED_LAZY = (
 REQUIRED_CONFIG = ("shapes", "rows", "bits", "repeats")
 
 REQUIRED_SERVE_MEASUREMENTS = (
-    "sequential_request_seconds",
     "concurrent_wall_seconds",
     "concurrent_requests_per_second",
     "mean_batch_size",
@@ -74,8 +78,11 @@ REQUIRED_SERVE_MEASUREMENTS = (
     "reload_seconds",
 )
 REQUIRED_SERVE_CONFIG = (
-    "model", "clients", "requests_per_client", "batch_window_ms", "max_batch",
+    "model", "seq_lens", "sequential_requests", "clients",
+    "requests_per_client", "batch_window_ms", "max_batch",
 )
+SERVE_PATHS = ("inprocess", "http")
+PERCENTILES = ("p50", "p95", "p99")
 
 REQUIRED_JOBS_MEASUREMENTS = (
     "thread_seconds",
@@ -212,6 +219,30 @@ def check_serve(record: dict, path: Path) -> int:
     for key in REQUIRED_SERVE_MEASUREMENTS:
         positive_number(measurements, key, "measurements")
 
+    latency = measurements.get("latency_ms")
+    if not isinstance(latency, dict) or not config["seq_lens"]:
+        fail("measurements.latency_ms missing or config.seq_lens empty")
+    worst_overhead = -math.inf
+    for tokens in config["seq_lens"]:
+        entry = latency.get(str(tokens))
+        context = f"measurements.latency_ms.{tokens}"
+        if not isinstance(entry, dict):
+            fail(f"{context} missing")
+        for route in SERVE_PATHS:
+            stats = entry.get(route)
+            if not isinstance(stats, dict):
+                fail(f"{context}.{route} missing")
+            for key in PERCENTILES:
+                positive_number(stats, key, f"{context}.{route}")
+            if not stats["p50"] <= stats["p95"] <= stats["p99"]:
+                fail(f"{context}.{route} percentiles out of order: {stats}")
+        overhead = entry["http"]["p50"] - entry["inprocess"]["p50"]
+        worst_overhead = max(worst_overhead, overhead)
+        if overhead >= GATE_HTTP_OVERHEAD_MS:
+            fail(f"HTTP p50 exceeds in-process p50 by {overhead:.1f}ms at "
+                 f"{tokens} tokens (gate < {GATE_HTTP_OVERHEAD_MS:g}ms): the "
+                 "HTTP front is stalling responses")
+
     mean_batch = measurements["mean_batch_size"]
     max_batch = measurements["max_batch_size"]
     if max_batch <= 1:
@@ -222,12 +253,18 @@ def check_serve(record: dict, path: Path) -> int:
              f"bound {config['max_batch']}")
     if mean_batch > max_batch:
         fail(f"mean batch {mean_batch:g} exceeds max batch {max_batch:g}")
+    p50s = ", ".join(
+        f"{tokens} tokens {latency[str(tokens)]['inprocess']['p50']:.1f}/"
+        f"{latency[str(tokens)]['http']['p50']:.1f}ms"
+        for tokens in config["seq_lens"]
+    )
     print(
         f"check_bench: OK: {path} ({config['model']}, smoke={record['smoke']}) — "
+        f"p50 in-process/HTTP {p50s} (worst HTTP overhead "
+        f"{worst_overhead:.1f}ms, gate < {GATE_HTTP_OVERHEAD_MS:g}ms); "
         f"{measurements['concurrent_requests_per_second']:.0f} req/s across "
         f"{config['clients']} clients, mean batch {mean_batch:.2f} "
-        f"(max {max_batch:g}), sequential "
-        f"{measurements['sequential_request_seconds'] * 1000:.1f}ms, reload "
+        f"(max {max_batch:g}), reload "
         f"{measurements['reload_seconds'] * 1000:.0f}ms"
     )
     return 0

@@ -8,7 +8,9 @@ keeps the weight as resident codes, and only what GOBO leaves FP32
 (biases, LayerNorm, heads, fallback layers) plus the quantized non-FC
 tensors (embeddings) are decoded into the network.  No FC weight is ever
 dequantized — at attach time or during a forward — which the tests assert
-via the ``quantizer.dequantize_calls`` obs counter.
+via the ``quantizer.dequantize_calls`` obs counter.  The served model is
+frozen: no parameter requires grad, so its forwards record no autograd
+tape and leave no reference cycles behind (see :mod:`repro.nn.tensor`).
 """
 
 from __future__ import annotations
@@ -55,7 +57,11 @@ def attach_quantized_linears(model: Module, qmodel: QuantizedModel) -> Module:
        tensors (embeddings).  That is the only decode; no FC weight is
        ever dequantized.
 
-    Returns ``model`` in eval mode (``QuantizedLinear`` is inference-only).
+    Returns ``model`` in eval mode and frozen: every parameter has
+    ``requires_grad`` False.  ``QuantizedLinear`` is inference-only anyway,
+    but the embeddings, LayerNorm, biases and fallback ``Linear`` layers
+    would otherwise still record a backward closure per op, which keeps
+    each forward's activations alive until the cyclic GC runs.
     """
     swapped = set()
     for name in qmodel.fc_names:
@@ -78,4 +84,6 @@ def attach_quantized_linears(model: Module, qmodel: QuantizedModel) -> Module:
         if name not in swapped:
             state[name] = qmodel.quantized[name].dequantize(dtype=np.float64)
     model.load_state_dict(state)
+    for param in model.parameters():
+        param.requires_grad = False
     return model.eval()

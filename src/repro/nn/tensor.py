@@ -10,6 +10,12 @@ Design notes
 * ``Tensor`` wraps a ``float64`` (default) NumPy array plus an optional
   gradient and a backward closure.  The graph is a classic tape: each op
   records its parents and how to push gradients to them.
+* Only outputs that require grad join the tape.  A backward closure refers
+  back to the output it belongs to, so recording one on every result would
+  put each activation of an inference forward into a reference cycle that
+  only the cyclic GC can free.  The ``_backward`` setter therefore drops
+  the closure when the output does not require grad, and inference on
+  frozen parameters (``requires_grad`` False) allocates no tape at all.
 * Broadcasting follows NumPy semantics; gradients of broadcast operands are
   reduced back to the operand's shape by :func:`_unbroadcast`.
 * Only ops needed by the models are implemented — this is a substrate, not a
@@ -45,7 +51,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 class Tensor:
     """A NumPy-backed tensor with reverse-mode automatic differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "_parents", "name")
 
     def __init__(
         self,
@@ -56,7 +62,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[], None] | None = None
+        self._backward_fn: Callable[[], None] | None = None
         self._parents: tuple["Tensor", ...] = ()
         self.name = name
 
@@ -95,6 +101,16 @@ class Tensor:
         self.grad = None
 
     # --------------------------------------------------------------- graph ops
+    @property
+    def _backward(self) -> Callable[[], None] | None:
+        return self._backward_fn
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[], None] | None) -> None:
+        # Ops assign their closure unconditionally; keep it only on the tape
+        # (see the module notes: a kept closure makes ``self`` a cycle).
+        self._backward_fn = fn if self.requires_grad else None
+
     def _make_child(self, data: Array, parents: Iterable["Tensor"]) -> "Tensor":
         parents = tuple(parents)
         child = Tensor(data, requires_grad=any(p.requires_grad for p in parents))

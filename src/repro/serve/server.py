@@ -156,6 +156,13 @@ def _make_handler(server: QuantServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve/1"
+        # TCP_NODELAY on every accepted socket.  _respond writes the headers
+        # and the body as two segments; under Nagle the body waits for the
+        # client's delayed ACK of the first (>= 40 ms on Linux) on every
+        # keep-alive request.  A buffered wfile (wbufsize) would coalesce
+        # the writes instead, but handle_expect_100 does not flush, so
+        # "100 Continue" replies would sit in the buffer.
+        disable_nagle_algorithm = True
 
         # ------------------------------------------------------------ plumbing
         def log_message(self, format, *args):  # noqa: A002 — stdlib signature

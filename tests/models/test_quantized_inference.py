@@ -5,7 +5,11 @@ The acceptance bar for the kernels issue: after
 through :class:`~repro.nn.QuantizedLinear` with *zero*
 ``quantizer.dequantize_calls`` events — no FP32 weight matrix is ever
 materialized — and matches the dequantize-then-load path within tolerance.
+The attached model is frozen, so a served forward records no autograd tape
+and leaves nothing for the cyclic garbage collector.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -49,6 +53,26 @@ class TestAttach:
     def test_model_is_in_eval_mode(self, quantized_setup):
         _, _, compressed = quantized_setup
         assert all(not m.training for _, m in compressed.named_modules())
+
+    def test_model_is_frozen(self, quantized_setup):
+        _, _, compressed = quantized_setup
+        assert compressed.parameters()
+        assert not any(p.requires_grad for p in compressed.parameters())
+
+    def test_forward_leaves_no_reference_cycles(self, quantized_setup):
+        """Activations are freed by refcount alone: with the cyclic GC off,
+        one served forward leaves nothing for gc.collect() to find."""
+        _, _, compressed = quantized_setup
+        input_ids = micro_inputs()
+        compressed(input_ids)  # warm any lazily built state first
+        gc.disable()
+        try:
+            gc.collect()
+            hidden, pooled = compressed(input_ids)
+            del hidden, pooled
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_forward_matches_dequantize_path(self, quantized_setup):
         _, reference, compressed = quantized_setup

@@ -248,3 +248,21 @@ class TestGraphMechanics:
         (x * 2).sum().backward()
         x.zero_grad()
         assert x.grad is None
+
+
+class TestTapeOnlyWhenNeeded:
+    def test_non_grad_op_records_no_backward(self, rng):
+        a, b = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(3, 2)))
+        for out in (a + 1.0, a * a, a.matmul(b), a.exp(), a.sum(axis=0),
+                    a.reshape(3, 2), a[0], concat([a, a]), stack([a, a])):
+            assert not out.requires_grad
+            assert out._backward is None and out._parents == ()
+
+    def test_grad_input_still_records_backward(self, rng):
+        frozen = Tensor(rng.normal(size=3))
+        x = Tensor(rng.normal(size=3), requires_grad=True)
+        out = x * frozen
+        assert out.requires_grad and out._backward is not None
+        assert out._parents == (x, frozen)
+        out.sum().backward()
+        np.testing.assert_allclose(x.grad, frozen.data)

@@ -5,12 +5,15 @@ quantized archive, push concurrent traffic through the micro-batcher,
 hot-swap the model mid-flight with zero dropped requests, and verify the
 request path computes on the compressed representation
 (``quantizer.dequantize_calls == 0``) with a ``serve.request`` span per
-request.
+request.  Round trips over one keep-alive connection stay far below the
+~40 ms a Nagle / delayed-ACK stall would add to every response.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import os
 import signal
 import subprocess
@@ -162,6 +165,48 @@ class TestRequestPath:
         assert http_json(f"{base}/models/micro/predict",
                          {"input_ids": "nope"})[0] == 400
         assert http_json(f"{base}/nope")[0] == 404
+
+
+class TestKeepAlive:
+    #: A Nagle stall holds each response body for the client's delayed ACK
+    #: (>= 40 ms on Linux); an unstalled micro-model round trip is ~1 ms.
+    MEDIAN_BOUND_MS = 20.0
+    ROUNDS = 30
+
+    def test_round_trips_do_not_stall(self, micro_archive):
+        """Sequential requests over one connection: neither GET /healthz
+        nor predict may wait on the client's delayed ACK."""
+        registry = ModelRegistry()
+        registry.register("micro", micro_archive, config=MICRO_CONFIG)
+        server = QuantServer(registry, port=0, batch_window=0.0)
+        server.serve_in_background()
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=30)
+        body = json.dumps({"input_ids": [1, 2, 3, 4]})
+
+        def median_ms(method: str, path: str, payload: str | None) -> float:
+            durations = []
+            for _ in range(self.ROUNDS):
+                start = time.perf_counter()
+                connection.request(
+                    method, path, body=payload,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                response.read()
+                durations.append((time.perf_counter() - start) * 1000.0)
+                assert response.status == 200
+            return statistics.median(durations)
+
+        try:
+            connection.connect()
+            health_ms = median_ms("GET", "/healthz", None)
+            predict_ms = median_ms("POST", "/models/micro/predict", body)
+        finally:
+            connection.close()
+            server.shutdown()
+        assert health_ms < self.MEDIAN_BOUND_MS, f"healthz p50 {health_ms:.1f}ms"
+        assert predict_ms < self.MEDIAN_BOUND_MS, f"predict p50 {predict_ms:.1f}ms"
 
 
 class TestAdmission:
