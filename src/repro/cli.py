@@ -142,14 +142,25 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    from repro.core.parallel import resolve_backend
+    from repro.core.settings import EngineSettings
 
+    # Resolve every engine knob before building the model, so a bad value
+    # exits 2 before any work starts or any fleet worker spawns; the engine
+    # receives the resolved values.
+    engine_knobs = dict(
+        workers=args.workers,
+        backend=args.backend,
+        on_error=args.on_error,
+        layer_timeout=args.layer_timeout,
+        transient_retries=args.transient_retries,
+    )
     try:
-        backend = resolve_backend(args.backend)
+        settings = EngineSettings.resolve(**engine_knobs)
     except QuantizationError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if backend == "process":
+    engine_knobs = {name: getattr(settings, name) for name in engine_knobs}
+    if settings.backend == "process":
         # Fleet workers rebuild their injectors from REPRO_FAULTS themselves
         # (injector objects cannot cross the process boundary); the env read
         # above still validates the spec before any worker spawns.
@@ -174,15 +185,11 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
                     weight_bits=args.weight_bits,
                     embedding_bits=embedding_bits,
                     method=args.method,
-                    workers=args.workers,
-                    on_error=args.on_error,
                     validation=args.validation,
                     fault_injector=fault_injector,
-                    layer_timeout=args.layer_timeout,
-                    transient_retries=args.transient_retries,
                     cancel=interrupt.event,
-                    backend=backend,
                     engine=engine,
+                    **engine_knobs,
                 )
             else:
                 from repro.core.model_quantizer import select_parameters
@@ -192,15 +199,11 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
                     model.state_dict(),
                     selection.fc_names,
                     selection.embedding_names,
-                    workers=args.workers,
-                    on_error=args.on_error,
                     validation=args.validation,
                     fault_injector=fault_injector,
-                    layer_timeout=args.layer_timeout,
-                    transient_retries=args.transient_retries,
                     cancel=interrupt.event,
-                    backend=backend,
                     engine=engine,
+                    **engine_knobs,
                 )
         report = quantized.report
         if not report.interrupted and args.out:

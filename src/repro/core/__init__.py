@@ -34,13 +34,8 @@ from repro.core.parallel import (
     LayerFailure,
     LayerJob,
     LayerRecord,
-    ON_ERROR_POLICIES,
     QuantizationReport,
-    default_on_error,
-    default_workers,
     quantize_layers,
-    resolve_on_error,
-    resolve_workers,
 )
 from repro.core.policy import LayerPolicy, PolicyRule, mixed_precision_policy
 from repro.core.quantizer import (
@@ -56,6 +51,7 @@ from repro.core.serialization import (
     save_quantized_model,
     verify_archive,
 )
+from repro.core.settings import ON_ERROR_POLICIES, EngineSettings
 from repro.core.validate import (
     TensorDiagnosis,
     VALIDATION_POLICIES,
@@ -74,6 +70,7 @@ __all__ = [
     "MmapNpzReader",
     "CodeEntropyReport",
     "ConvergenceTrace",
+    "EngineSettings",
     "code_entropy",
     "diagnose_tensor",
     "GoboQuantizedTensor",
@@ -92,16 +89,12 @@ __all__ = [
     "StorageReport",
     "assign_to_centroids",
     "compression_curve",
-    "default_workers",
     "equal_population_centroids",
     "gobo_cluster",
     "kmeans_cluster",
     "linear_centroids",
     "load_quantized_model",
     "quantize_layers",
-    "default_on_error",
-    "resolve_on_error",
-    "resolve_workers",
     "validate_tensor",
     "verify_archive",
     "mixed_precision_policy",

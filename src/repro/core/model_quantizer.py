@@ -164,20 +164,20 @@ def quantize_state_dict(
     quantize only embeddings by passing an empty ``fc_names``).
 
     ``workers`` fans the per-layer jobs out over the engine in
-    :mod:`repro.core.parallel` (1 = serial, 0 = all cores, None = the
-    ``REPRO_WORKERS`` environment default).  The output is bit-for-bit
-    identical for every worker count; the engine's per-layer timings are
-    attached as ``QuantizedModel.report``.
+    :mod:`repro.core.parallel` (1 = serial, 0 = all cores).  The output is
+    bit-for-bit identical for every worker count; the engine's per-layer
+    timings are attached as ``QuantizedModel.report``.
 
     ``layer_timeout``/``transient_retries``/``cancel`` configure the
     engine's per-layer watchdog, transient-retry budget, and cooperative
-    cancellation (None defers to ``REPRO_LAYER_TIMEOUT`` /
-    ``REPRO_TRANSIENT_RETRIES``).  ``backend`` picks the fan-out mechanism
-    (``"thread"``/``"process"``, None = ``REPRO_BACKEND``): the process
+    cancellation.  ``backend`` picks the fan-out mechanism
+    (``"thread"``/``"process"``): the process
     backend runs layers in supervised worker processes
     (:mod:`repro.jobs.fleet`) so a worker crash costs one in-flight attempt
-    instead of the run, with byte-identical output.  ``engine`` swaps the
-    layer engine itself
+    instead of the run, with byte-identical output.  Engine knobs left
+    ``None`` resolve in the engine through
+    :meth:`~repro.core.settings.EngineSettings.resolve` (DESIGN.md §5a).
+    ``engine`` swaps the layer engine itself
     — any callable with :func:`~repro.core.parallel.quantize_layers`'s
     signature, e.g. :func:`repro.jobs.runner.run_durable_layers` partially
     bound to a job directory for checkpoint/resume durability.

@@ -13,7 +13,7 @@ All timings come from :mod:`repro.obs` spans (``engine.run``, one
 even when no trace sink is installed; span context is propagated into the
 pool workers so traces nest identically at any worker count (DESIGN.md §5c).
 
-Two backends (``backend=`` / ``REPRO_BACKEND``):
+Two backends (``backend=``):
 
 * ``"thread"`` (default): the hot kernels (``searchsorted``/``bincount``/
   ``argmin`` inside the clustering loop) release the GIL, a thread pool
@@ -30,13 +30,10 @@ Because :func:`quantize_tensor` is a pure function of its inputs, the result
 is **bit-for-bit identical** for any worker count *and* either backend —
 the per-job logic lives in one :class:`JobRunner` shared by both.
 
-Worker resolution:
-
-* ``workers=N`` (N >= 1) uses exactly N threads,
-* ``workers=0`` uses ``os.cpu_count()``,
-* ``workers=None`` defers to the ``REPRO_WORKERS`` environment variable
-  (default 1) so experiment pipelines can be parallelized without threading
-  a parameter through every call site.
+``workers=N`` (N >= 1) uses exactly N threads and ``workers=0`` uses
+``os.cpu_count()``.  Every engine knob left ``None`` resolves once per run
+through :meth:`~repro.core.settings.EngineSettings.resolve` (the
+``REPRO_<KNOB>`` environment variable, then the default; DESIGN.md §5a).
 
 Failure isolation (``on_error``): one pathological tensor — zero-variance
 weights, NaN/Inf entries — must never abort a whole-model run.  Each job is
@@ -51,8 +48,7 @@ attempted in isolation; what happens when it raises is a policy:
 
 Every non-"fail" outcome is captured as a :class:`LayerFailure` in the
 report, so degraded runs are loud in the instrumentation even though they
-complete.  ``on_error=None`` defers to the ``REPRO_ON_ERROR`` environment
-variable (default ``"fail"``).
+complete.
 
 Supervision (``layer_timeout`` / ``transient_retries`` / ``cancel``): the
 durable-job layer (:mod:`repro.jobs`) runs the engine supervised:
@@ -76,7 +72,6 @@ durable-job layer (:mod:`repro.jobs`) runs the engine supervised:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -88,20 +83,14 @@ import numpy as np
 from repro.core.formats import BYTES_PER_FP32
 from repro.core.outliers import DEFAULT_LOG_PROB_THRESHOLD
 from repro.core.quantizer import GoboQuantizedTensor, quantize_tensor
+from repro.core.settings import EngineSettings
 from repro.errors import LayerSkipped, LayerTimeoutError, QuantizationError
 from repro.jobs.retry import DEFAULT_BACKOFF_BASE, backoff_delay, is_transient
-from repro.jobs.watchdog import Deadline, Watchdog, deadline_scope
+from repro.jobs.watchdog import DEFAULT_POLL_INTERVAL, Deadline, Watchdog, deadline_scope
 from repro.obs import recorder as obs
 from repro.obs.metrics import MetricsSnapshot
 from repro.utils.tables import format_table
 
-WORKERS_ENV = "REPRO_WORKERS"
-ON_ERROR_ENV = "REPRO_ON_ERROR"
-LAYER_TIMEOUT_ENV = "REPRO_LAYER_TIMEOUT"
-TRANSIENT_RETRIES_ENV = "REPRO_TRANSIENT_RETRIES"
-BACKEND_ENV = "REPRO_BACKEND"
-ON_ERROR_POLICIES = ("fail", "skip", "fp32-fallback", "retry-higher-bits")
-BACKENDS = ("thread", "process")
 MAX_RETRY_BITS = 8
 
 # A fault injector is called as ``injector(index, job, weights)`` before each
@@ -302,129 +291,6 @@ class QuantizationReport:
         return f"{table}\n{footer}"
 
 
-def default_workers() -> int:
-    """Worker count from the ``REPRO_WORKERS`` environment (default 1)."""
-    raw = os.environ.get(WORKERS_ENV)
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise QuantizationError(
-            f"{WORKERS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return resolve_workers(workers)
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalize a ``workers`` argument to a concrete thread count."""
-    if workers is None:
-        return default_workers()
-    if not isinstance(workers, int) or isinstance(workers, bool):
-        raise QuantizationError(f"workers must be an int or None, got {workers!r}")
-    if workers < 0:
-        raise QuantizationError(f"workers must be >= 0, got {workers}")
-    if workers == 0:
-        return os.cpu_count() or 1
-    return workers
-
-
-def default_backend() -> str:
-    """Engine backend from the ``REPRO_BACKEND`` environment (default thread)."""
-    raw = os.environ.get(BACKEND_ENV)
-    if not raw:
-        return "thread"
-    return resolve_backend(raw)
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Normalize a ``backend`` argument to a concrete backend name."""
-    if backend is None:
-        return default_backend()
-    if backend not in BACKENDS:
-        raise QuantizationError(
-            f"unknown engine backend {backend!r}; use one of {BACKENDS}"
-        )
-    return backend
-
-
-def default_on_error() -> str:
-    """Failure policy from the ``REPRO_ON_ERROR`` environment (default fail)."""
-    raw = os.environ.get(ON_ERROR_ENV)
-    if not raw:
-        return "fail"
-    return resolve_on_error(raw)
-
-
-def resolve_on_error(on_error: str | None) -> str:
-    """Normalize an ``on_error`` argument to a concrete policy name."""
-    if on_error is None:
-        return default_on_error()
-    if on_error not in ON_ERROR_POLICIES:
-        raise QuantizationError(
-            f"unknown on_error policy {on_error!r}; use one of {ON_ERROR_POLICIES}"
-        )
-    return on_error
-
-
-def default_layer_timeout() -> float | None:
-    """Per-layer deadline from ``REPRO_LAYER_TIMEOUT`` (default: disabled)."""
-    raw = os.environ.get(LAYER_TIMEOUT_ENV)
-    if not raw:
-        return None
-    try:
-        seconds = float(raw)
-    except ValueError:
-        raise QuantizationError(
-            f"{LAYER_TIMEOUT_ENV} must be a number of seconds, got {raw!r}"
-        ) from None
-    return resolve_layer_timeout(seconds)
-
-
-def resolve_layer_timeout(layer_timeout: float | None) -> float | None:
-    """Normalize a ``layer_timeout`` argument; None defers to the environment."""
-    if layer_timeout is None:
-        return default_layer_timeout()
-    if isinstance(layer_timeout, bool) or not isinstance(layer_timeout, (int, float)):
-        raise QuantizationError(
-            f"layer_timeout must be a number of seconds or None, got {layer_timeout!r}"
-        )
-    if not layer_timeout > 0:
-        raise QuantizationError(
-            f"layer_timeout must be > 0 (omit it to disable), got {layer_timeout}"
-        )
-    return float(layer_timeout)
-
-
-def default_transient_retries() -> int:
-    """Transient retry budget from ``REPRO_TRANSIENT_RETRIES`` (default 0)."""
-    raw = os.environ.get(TRANSIENT_RETRIES_ENV)
-    if not raw:
-        return 0
-    try:
-        retries = int(raw)
-    except ValueError:
-        raise QuantizationError(
-            f"{TRANSIENT_RETRIES_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return resolve_transient_retries(retries)
-
-
-def resolve_transient_retries(transient_retries: int | None) -> int:
-    """Normalize a ``transient_retries`` argument; None defers to the environment."""
-    if transient_retries is None:
-        return default_transient_retries()
-    if isinstance(transient_retries, bool) or not isinstance(transient_retries, int):
-        raise QuantizationError(
-            f"transient_retries must be an int or None, got {transient_retries!r}"
-        )
-    if transient_retries < 0:
-        raise QuantizationError(
-            f"transient_retries must be >= 0, got {transient_retries}"
-        )
-    return transient_retries
-
-
 @dataclass(frozen=True)
 class LayerOutcome:
     """The final disposition of one job: at most one of the payloads is set.
@@ -454,23 +320,38 @@ class JobRunner:
     each worker process — so a layer's disposition, and the exact bytes it
     produces, follow the same code path on every backend.
 
-    Fields must be *resolved* concrete values (use :func:`resolve_on_error`
-    and friends first); the runner does no environment fallback of its own.
-    ``watchdog`` must already be started when ``layer_timeout`` is set.
+    ``settings`` carries the resolved ``on_error`` policy, watchdog
+    deadline and transient-retry budget.  Use the runner as a context
+    manager: it runs the per-layer watchdog for the block when
+    ``settings.layer_timeout`` is set.
     """
 
     state: Mapping[str, np.ndarray]
+    settings: EngineSettings
     log_prob_threshold: float = DEFAULT_LOG_PROB_THRESHOLD
     method: str = "gobo"
     max_iterations: int = 50
-    on_error: str = "fail"
     validation: str = "strict"
     fault_injector: FaultInjector | None = None
-    layer_timeout: float | None = None
-    transient_retries: int = 0
     transient_backoff: float = DEFAULT_BACKOFF_BASE
-    watchdog: Watchdog | None = None
     aux: Mapping[str, np.ndarray] | None = None
+    watchdog: Watchdog | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        timeout = self.settings.layer_timeout
+        if timeout is not None:
+            self.watchdog = Watchdog(
+                poll_interval=min(DEFAULT_POLL_INTERVAL, timeout / 5)
+            )
+
+    def __enter__(self) -> "JobRunner":
+        if self.watchdog is not None:
+            self.watchdog.start()
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        if self.watchdog is not None:
+            self.watchdog.stop()
 
     def attempt(
         self, index: int, job: LayerJob, bits: int
@@ -515,9 +396,9 @@ class JobRunner:
         self, index: int, job: LayerJob, bits: int
     ) -> tuple[GoboQuantizedTensor, LayerRecord]:
         """One attempt under a fresh watchdog deadline (when configured)."""
-        if self.layer_timeout is None:
+        if self.watchdog is None:
             return self.attempt(index, job, bits)
-        deadline = Deadline(self.layer_timeout, label=job.name)
+        deadline = Deadline(self.settings.layer_timeout, label=job.name)
         self.watchdog.register(deadline)
         try:
             with deadline_scope(deadline):
@@ -534,7 +415,7 @@ class JobRunner:
             try:
                 return self.attempt_supervised(index, job, bits)
             except Exception as exc:  # noqa: BLE001 — classified below
-                if retry >= self.transient_retries or not is_transient(exc):
+                if retry >= self.settings.transient_retries or not is_transient(exc):
                     raise
                 obs.counter(
                     "engine.retry",
@@ -578,9 +459,9 @@ class JobRunner:
             # on_error policy, but never retry it (in place or wider) — that
             # would stall the run all over again.
             obs.counter("engine.timeout", layer=job.name, bits=job.bits)
-            if self.on_error == "fail":
+            if self.settings.on_error == "fail":
                 raise
-            resolution = "skip" if self.on_error == "skip" else "fp32-fallback"
+            resolution = "skip" if self.settings.on_error == "skip" else "fp32-fallback"
             return LayerOutcome(
                 job=job,
                 failure=LayerFailure(
@@ -595,9 +476,9 @@ class JobRunner:
                 ),
             )
         except Exception as exc:  # noqa: BLE001 — isolation is the point
-            if self.on_error == "fail":
+            if self.settings.on_error == "fail":
                 raise
-            if self.on_error == "retry-higher-bits":
+            if self.settings.on_error == "retry-higher-bits":
                 for retry_bits in range(job.bits + 1, MAX_RETRY_BITS + 1):
                     attempts.append(retry_bits)
                     try:
@@ -626,7 +507,7 @@ class JobRunner:
                     )
                 action = "fp32-fallback"  # every retry failed
             else:
-                action = self.on_error
+                action = self.settings.on_error
             return LayerOutcome(
                 job=job,
                 failure=LayerFailure(
@@ -711,9 +592,10 @@ def quantize_layers(
 
     ``backend`` selects the fan-out mechanism: ``"thread"`` (default) runs
     jobs on a :class:`ThreadPoolExecutor` in this process; ``"process"``
-    delegates to the supervised worker fleet
-    (:func:`repro.jobs.fleet.run_fleet_layers`) for crash isolation.  Both
-    produce bit-identical archives; ``None`` consults ``REPRO_BACKEND``.
+    delegates to the supervised worker fleet (:mod:`repro.jobs.fleet`) for
+    crash isolation.  Both produce bit-identical archives.  The engine
+    knobs resolve once here through
+    :meth:`~repro.core.settings.EngineSettings.resolve`.
 
     ``aux`` maps layer names to per-layer side data handed to the tensor
     method (e.g. GWQ's precomputed saliency outlier masks); layers without
@@ -722,58 +604,74 @@ def quantize_layers(
     Returns ``(quantized, iterations, report)``; failed layers appear in
     ``report.failures`` instead of ``quantized``.
     """
+    settings = EngineSettings.resolve(
+        workers=workers,
+        backend=backend,
+        on_error=on_error,
+        layer_timeout=layer_timeout,
+        transient_retries=transient_retries,
+    )
+    if settings.backend == "process":
+        # Lazy import: the fleet lives in the jobs subsystem and pulls in
+        # multiprocessing machinery the thread path never needs.
+        from repro.jobs.fleet import fleet_engine as engine
+    else:
+        engine = thread_engine
+    return engine(
+        state,
+        jobs,
+        settings,
+        log_prob_threshold=log_prob_threshold,
+        method=method,
+        max_iterations=max_iterations,
+        validation=validation,
+        fault_injector=fault_injector,
+        transient_backoff=transient_backoff,
+        cancel=cancel,
+        on_layer_complete=on_layer_complete,
+        aux=aux,
+    )
+
+
+def checked_jobs(
+    state: Mapping[str, np.ndarray], jobs: Iterable[LayerJob]
+) -> list[LayerJob]:
+    """``jobs`` as a list, refusing any whose tensor ``state`` lacks."""
     jobs = list(jobs)
     missing = [job.name for job in jobs if job.name not in state]
     if missing:
         raise QuantizationError(f"state dict is missing tensors: {missing}")
-    if resolve_backend(backend) == "process":
-        if fault_injector is not None:
-            raise QuantizationError(
-                "fault_injector objects cannot cross process boundaries; "
-                "export a REPRO_FAULTS spec instead (see repro.testing.faults)"
-            )
-        # Lazy import: the fleet lives in the jobs subsystem and pulls in
-        # multiprocessing machinery the thread path never needs.
-        from repro.jobs.fleet import run_fleet_layers
+    return jobs
 
-        return run_fleet_layers(
-            state,
-            jobs,
-            log_prob_threshold=log_prob_threshold,
-            method=method,
-            max_iterations=max_iterations,
-            workers=workers,
-            on_error=on_error,
-            validation=validation,
-            layer_timeout=layer_timeout,
-            transient_retries=transient_retries,
-            transient_backoff=transient_backoff,
-            cancel=cancel,
-            on_layer_complete=on_layer_complete,
-            aux=aux,
-        )
-    workers = resolve_workers(workers)
-    on_error = resolve_on_error(on_error)
-    layer_timeout = resolve_layer_timeout(layer_timeout)
-    transient_retries = resolve_transient_retries(transient_retries)
-    watchdog = (
-        Watchdog(poll_interval=min(0.02, layer_timeout / 5))
-        if layer_timeout is not None
-        else None
-    )
+
+def thread_engine(
+    state: Mapping[str, np.ndarray],
+    jobs: Iterable[LayerJob],
+    settings: EngineSettings,
+    *,
+    log_prob_threshold: float = DEFAULT_LOG_PROB_THRESHOLD,
+    method: str = "gobo",
+    max_iterations: int = 50,
+    validation: str = "strict",
+    fault_injector: FaultInjector | None = None,
+    transient_backoff: float = DEFAULT_BACKOFF_BASE,
+    cancel: "threading.Event | None" = None,
+    on_layer_complete: "Callable[[LayerOutcome], None] | None" = None,
+    aux: Mapping[str, np.ndarray] | None = None,
+) -> tuple[dict[str, GoboQuantizedTensor], dict[str, int], QuantizationReport]:
+    """The thread backend of :func:`quantize_layers`, on resolved ``settings``."""
+    jobs = checked_jobs(state, jobs)
+    workers = settings.workers
     hook_lock = threading.Lock()
     runner = JobRunner(
         state=state,
+        settings=settings,
         log_prob_threshold=log_prob_threshold,
         method=method,
         max_iterations=max_iterations,
-        on_error=on_error,
         validation=validation,
         fault_injector=fault_injector,
-        layer_timeout=layer_timeout,
-        transient_retries=transient_retries,
         transient_backoff=transient_backoff,
-        watchdog=watchdog,
         aux=aux,
     )
 
@@ -784,41 +682,33 @@ def quantize_layers(
         # counts; determinism comparisons exclude it by name (DESIGN §5c).
         obs.gauge("engine.workers", workers)
         obs.gauge("engine.queue.jobs", len(jobs))
-        if watchdog is not None:
-            watchdog.start()
-        try:
-            with obs.span("engine.run") as engine_span:
-                # Worker threads re-attach the submitting thread's span
-                # context, so layer spans nest under engine.run at any
-                # worker count.
-                context = obs.capture_context()
+        with runner, obs.span("engine.run") as engine_span:
+            # Worker threads re-attach the submitting thread's span
+            # context, so layer spans nest under engine.run at any
+            # worker count.
+            context = obs.capture_context()
 
-                def run_in_context(item: tuple[int, LayerJob]) -> LayerOutcome:
-                    with obs.use_context(context):
-                        if cancel is not None and cancel.is_set():
-                            return LayerOutcome(job=item[1], cancelled=True)
-                        outcome = runner.run(*item)
-                        if on_layer_complete is not None:
-                            with hook_lock:
-                                on_layer_complete(outcome)
-                        return outcome
+            def run_in_context(item: tuple[int, LayerJob]) -> LayerOutcome:
+                with obs.use_context(context):
+                    if cancel is not None and cancel.is_set():
+                        return LayerOutcome(job=item[1], cancelled=True)
+                    outcome = runner.run(*item)
+                    if on_layer_complete is not None:
+                        with hook_lock:
+                            on_layer_complete(outcome)
+                    return outcome
 
-                if workers == 1 or len(jobs) <= 1:
-                    outcomes = [run_in_context(item) for item in indexed]
-                else:
-                    with ThreadPoolExecutor(
-                        max_workers=min(workers, len(jobs))
-                    ) as pool:
-                        outcomes = list(pool.map(run_in_context, indexed))
-        finally:
-            if watchdog is not None:
-                watchdog.stop()
+            if workers == 1 or len(jobs) <= 1:
+                outcomes = [run_in_context(item) for item in indexed]
+            else:
+                with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+                    outcomes = list(pool.map(run_in_context, indexed))
 
         report = QuantizationReport(
             workers=workers,
             wall_seconds=engine_span.duration,
-            on_error=on_error,
-            layer_timeout=layer_timeout,
+            on_error=settings.on_error,
+            layer_timeout=settings.layer_timeout,
         )
         quantized, iterations = assemble_outcomes(outcomes, report)
     report.metrics = scoped.snapshot()

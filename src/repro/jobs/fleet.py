@@ -84,69 +84,20 @@ from repro.core.parallel import (
     LayerOutcome,
     QuantizationReport,
     assemble_outcomes,
-    resolve_layer_timeout,
-    resolve_on_error,
-    resolve_transient_retries,
-    resolve_workers,
+    checked_jobs,
 )
+from repro.core.settings import EngineSettings
 from repro.errors import QuantizationError, WorkerCrashError
 from repro.jobs.journal import JobJournal
 from repro.jobs.retry import DEFAULT_BACKOFF_BASE, backoff_delay
-from repro.jobs.watchdog import LivenessMonitor, Watchdog
+from repro.jobs.watchdog import LivenessMonitor
 from repro.obs import recorder as obs
 from repro.obs.events import read_trace_lenient
 from repro.obs.sinks import JsonlSink
+from repro.testing.faults import FAULTS_ENV, injector_from_spec
 
-#: Environment knobs (all overridable per call).
-HEARTBEAT_INTERVAL_ENV = "REPRO_HEARTBEAT_INTERVAL"
-HEARTBEAT_TIMEOUT_ENV = "REPRO_HEARTBEAT_TIMEOUT"
-MAX_REASSIGNMENTS_ENV = "REPRO_MAX_REASSIGNMENTS"
 #: Set in each worker's environment to its worker id (fault targeting).
 WORKER_ID_ENV = "REPRO_FLEET_WORKER"
-
-DEFAULT_HEARTBEAT_INTERVAL = 0.2
-DEFAULT_HEARTBEAT_TIMEOUT = 10.0
-DEFAULT_MAX_REASSIGNMENTS = 3
-
-
-def _positive_float_env(env: str, default: float, what: str) -> float:
-    raw = os.environ.get(env)
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise QuantizationError(f"{env} must be a number, got {raw!r}") from None
-    if not value > 0:
-        raise QuantizationError(f"{what} must be > 0 seconds, got {value!r}")
-    return value
-
-
-def default_heartbeat_interval() -> float:
-    return _positive_float_env(
-        HEARTBEAT_INTERVAL_ENV, DEFAULT_HEARTBEAT_INTERVAL, "heartbeat interval"
-    )
-
-
-def default_heartbeat_timeout() -> float:
-    return _positive_float_env(
-        HEARTBEAT_TIMEOUT_ENV, DEFAULT_HEARTBEAT_TIMEOUT, "heartbeat timeout"
-    )
-
-
-def default_max_reassignments() -> int:
-    raw = os.environ.get(MAX_REASSIGNMENTS_ENV)
-    if not raw:
-        return DEFAULT_MAX_REASSIGNMENTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise QuantizationError(
-            f"{MAX_REASSIGNMENTS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise QuantizationError(f"max reassignments must be >= 0, got {value}")
-    return value
 
 
 def _mp_context():
@@ -177,16 +128,13 @@ def _portable_error(exc: BaseException) -> BaseException:
 class WorkerConfig:
     """Everything a worker needs besides the weights (picklable for spawn)."""
 
+    settings: EngineSettings
     log_prob_threshold: float
     method: str
     max_iterations: int
-    on_error: str
     validation: str
-    layer_timeout: float | None
-    transient_retries: int
     transient_backoff: float
     fault_spec: str
-    heartbeat_interval: float
     obs_dir: str
 
 
@@ -295,58 +243,47 @@ def _worker_main(
         with send_lock:
             conn.send(message)
 
-    heartbeat = _HeartbeatSender(send, worker_id, config.heartbeat_interval)
+    heartbeat = _HeartbeatSender(send, worker_id, config.settings.heartbeat_interval)
     global _runtime
     _runtime = WorkerRuntime(worker_id=worker_id, heartbeat=heartbeat)
 
     sink = obs.install(JsonlSink(Path(config.obs_dir) / f"worker-{worker_id}.jsonl"))
     # Injectors are rebuilt from the text spec in each worker: injector
     # objects hold locks and cannot cross the process boundary.
-    from repro.testing.faults import injector_from_spec
-
     injector = (
         injector_from_spec(config.fault_spec) if config.fault_spec.strip() else None
     )
-    watchdog = (
-        Watchdog(poll_interval=min(0.02, config.layer_timeout / 5)).start()
-        if config.layer_timeout is not None
-        else None
-    )
     runner = JobRunner(
         state=state,
+        settings=config.settings,
         log_prob_threshold=config.log_prob_threshold,
         method=config.method,
         max_iterations=config.max_iterations,
-        on_error=config.on_error,
         validation=config.validation,
         fault_injector=injector,
-        layer_timeout=config.layer_timeout,
-        transient_retries=config.transient_retries,
         transient_backoff=config.transient_backoff,
-        watchdog=watchdog,
         aux=aux,
     )
     heartbeat.start()
     try:
-        send(("ready", worker_id, os.getpid()))
-        while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                break
-            _, index, job = message
-            try:
-                with obs.span("fleet.task", worker=worker_id, layer=job.name):
-                    outcome = runner.run(index, job)
-            except BaseException as exc:  # noqa: BLE001 — ships to supervisor
-                send(("error", worker_id, index, _portable_error(exc)))
-                continue
-            send(("done", worker_id, index, outcome))
+        with runner:
+            send(("ready", worker_id, os.getpid()))
+            while True:
+                message = conn.recv()
+                if message[0] == "stop":
+                    break
+                _, index, job = message
+                try:
+                    with obs.span("fleet.task", worker=worker_id, layer=job.name):
+                        outcome = runner.run(index, job)
+                except BaseException as exc:  # noqa: BLE001 — ships to supervisor
+                    send(("error", worker_id, index, _portable_error(exc)))
+                    continue
+                send(("done", worker_id, index, outcome))
     except (EOFError, OSError):
         pass  # supervisor went away mid-recv/send: exit quietly
     finally:
         heartbeat.stop()
-        if watchdog is not None:
-            watchdog.stop()
         obs.uninstall(sink)
         sink.close()
 
@@ -398,61 +335,91 @@ def run_fleet_layers(
 ) -> tuple[dict, dict[str, int], QuantizationReport]:
     """Engine-compatible supervised process-pool run (see module docstring).
 
-    Drop-in for :func:`~repro.core.parallel.quantize_layers` (which
-    delegates here for ``backend="process"``); the keyword-only parameters
-    configure supervision.  ``fault_spec`` defaults to the ``REPRO_FAULTS``
-    environment variable; ``obs_dir`` is where worker-local traces land
-    (a temporary directory, merged and discarded, when not given).
-    Raises :class:`~repro.errors.WorkerCrashError` when every worker dies,
-    or when one dies past its layer's reassignment budget under
+    Drop-in for :func:`~repro.core.parallel.quantize_layers` with
+    ``backend="process"``; the keyword-only parameters configure
+    supervision.  The engine knobs, heartbeat and reassignment knobs
+    included, resolve once here through
+    :meth:`~repro.core.settings.EngineSettings.resolve`.
+    ``fault_spec`` defaults to the ``REPRO_FAULTS`` environment variable;
+    ``obs_dir`` is where worker-local traces land (a temporary directory,
+    merged and discarded, when not given).  Raises
+    :class:`~repro.errors.WorkerCrashError` when every worker dies, or when
+    one dies past its layer's reassignment budget under
     ``on_error="fail"``.
     """
-    jobs = list(jobs)
-    missing = [job.name for job in jobs if job.name not in state]
-    if missing:
-        raise QuantizationError(f"state dict is missing tensors: {missing}")
+    settings = EngineSettings.resolve(
+        workers=workers,
+        backend="process",
+        on_error=on_error,
+        layer_timeout=layer_timeout,
+        transient_retries=transient_retries,
+        heartbeat_interval=heartbeat_interval,
+        heartbeat_timeout=heartbeat_timeout,
+        max_reassignments=max_reassignments,
+    )
+    return fleet_engine(
+        state,
+        jobs,
+        settings,
+        log_prob_threshold=log_prob_threshold,
+        method=method,
+        max_iterations=max_iterations,
+        validation=validation,
+        fault_injector=fault_injector,
+        transient_backoff=transient_backoff,
+        cancel=cancel,
+        on_layer_complete=on_layer_complete,
+        aux=aux,
+        journal=journal,
+        fault_spec=fault_spec,
+        obs_dir=obs_dir,
+    )
+
+
+def fleet_engine(
+    state: Mapping[str, np.ndarray],
+    jobs: Iterable[LayerJob],
+    settings: EngineSettings,
+    *,
+    log_prob_threshold: float = DEFAULT_LOG_PROB_THRESHOLD,
+    method: str = "gobo",
+    max_iterations: int = 50,
+    validation: str = "strict",
+    fault_injector=None,
+    transient_backoff: float = DEFAULT_BACKOFF_BASE,
+    cancel: "threading.Event | None" = None,
+    on_layer_complete: "Callable[[LayerOutcome], None] | None" = None,
+    aux: Mapping[str, np.ndarray] | None = None,
+    journal: JobJournal | None = None,
+    fault_spec: str | None = None,
+    obs_dir: str | Path | None = None,
+) -> tuple[dict, dict[str, int], QuantizationReport]:
+    """The process backend of :func:`run_fleet_layers`, on resolved ``settings``."""
+    jobs = checked_jobs(state, jobs)
     if fault_injector is not None:
         raise QuantizationError(
             "fault_injector objects cannot cross process boundaries; "
             "export a REPRO_FAULTS spec instead (see repro.testing.faults)"
         )
-    workers = resolve_workers(workers)
-    on_error = resolve_on_error(on_error)
-    layer_timeout = resolve_layer_timeout(layer_timeout)
-    transient_retries = resolve_transient_retries(transient_retries)
-    if heartbeat_interval is None:
-        heartbeat_interval = default_heartbeat_interval()
-    if heartbeat_timeout is None:
-        heartbeat_timeout = default_heartbeat_timeout()
-    if max_reassignments is None:
-        max_reassignments = default_max_reassignments()
-    if not heartbeat_interval > 0:
-        raise QuantizationError(
-            f"heartbeat interval must be > 0 seconds, got {heartbeat_interval!r}"
-        )
-    if not heartbeat_timeout > heartbeat_interval:
-        raise QuantizationError(
-            f"heartbeat timeout ({heartbeat_timeout!r}s) must exceed the "
-            f"heartbeat interval ({heartbeat_interval!r}s)"
-        )
     if fault_spec is None:
-        fault_spec = os.environ.get("REPRO_FAULTS", "")
+        fault_spec = os.environ.get(FAULTS_ENV, "")
     if fault_spec.strip():
         # Validate supervisor-side so a typo fails the run loudly instead of
         # crashing (or silently disarming) every worker.
-        from repro.testing.faults import injector_from_spec
-
         try:
             injector_from_spec(fault_spec)
         except ValueError as exc:
             raise QuantizationError(f"bad fault spec for fleet workers: {exc}") from exc
 
+    workers = settings.workers
+    on_error = settings.on_error
+    heartbeat_timeout = settings.heartbeat_timeout
     if not jobs:
         with obs.scope() as scoped:
             report = QuantizationReport(
                 workers=workers,
                 on_error=on_error,
-                layer_timeout=layer_timeout,
+                layer_timeout=settings.layer_timeout,
                 backend="process",
             )
             quantized, iterations = assemble_outcomes([], report)
@@ -471,16 +438,13 @@ def run_fleet_layers(
     ctx = _mp_context()
     monitor = LivenessMonitor(timeout=heartbeat_timeout)
     config = WorkerConfig(
+        settings=settings,
         log_prob_threshold=log_prob_threshold,
         method=method,
         max_iterations=max_iterations,
-        on_error=on_error,
         validation=validation,
-        layer_timeout=layer_timeout,
-        transient_retries=transient_retries,
         transient_backoff=transient_backoff,
         fault_spec=fault_spec,
-        heartbeat_interval=heartbeat_interval,
         obs_dir=str(obs_dir),
     )
     # Workers only need the tensors they might quantize (and any per-layer
@@ -500,7 +464,7 @@ def run_fleet_layers(
     worker_deaths = 0
     reassignments = 0
     error: BaseException | None = None
-    tick = min(heartbeat_interval / 2.0, 0.05)
+    tick = min(settings.heartbeat_interval / 2.0, 0.05)
 
     def finish(index: int, outcome: LayerOutcome) -> None:
         nonlocal error
@@ -545,7 +509,7 @@ def run_fleet_layers(
         survivors = any(h.alive for h in handles)
         drained = cancel is not None and cancel.is_set()
         reassign = (
-            survivors and not drained and task.attempt < max_reassignments
+            survivors and not drained and task.attempt < settings.max_reassignments
         )
         if journal is not None:
             journal.append(
@@ -787,7 +751,7 @@ def run_fleet_layers(
                 workers=workers,
                 wall_seconds=engine_span.duration,
                 on_error=on_error,
-                layer_timeout=layer_timeout,
+                layer_timeout=settings.layer_timeout,
                 backend="process",
                 worker_deaths=worker_deaths,
                 reassignments=reassignments,

@@ -2,7 +2,8 @@
 
 :func:`run_durable_layers` is a drop-in engine for
 :func:`repro.core.model_quantizer.quantize_state_dict` (its ``engine=``
-parameter): it calls :func:`repro.core.parallel.quantize_layers` with an
+parameter): it runs the thread or fleet engine behind
+:func:`repro.core.parallel.quantize_layers` with an
 ``on_layer_complete`` hook that, the moment each layer finishes,
 
 1. writes the quantized tensor to a per-layer **shard** file under
@@ -48,13 +49,12 @@ from repro.core.parallel import (
     LayerOutcome,
     LayerRecord,
     QuantizationReport,
-    quantize_layers,
-    resolve_backend,
-    resolve_on_error,
+    thread_engine,
 )
 from repro.core.policy import LayerPolicy
 from repro.core.quantizer import GoboQuantizedTensor
 from repro.core.serialization import CHECKSUM_KEY, payload_checksum
+from repro.core.settings import EngineSettings
 from repro.errors import ChecksumMismatchError, JobStateError, SerializationError
 from repro.jobs.journal import JobJournal, canonical_record, read_journal
 from repro.obs import recorder as obs
@@ -274,13 +274,19 @@ def run_durable_layers(
     if len(set(names)) != len(names):
         raise JobStateError("durable jobs require unique layer names")
     job_dir = Path(job_dir)
-    on_error_resolved = resolve_on_error(on_error)
+    settings = EngineSettings.resolve(
+        workers=workers,
+        backend=backend,
+        on_error=on_error,
+        layer_timeout=layer_timeout,
+        transient_retries=transient_retries,
+    )
     fingerprint = job_fingerprint(
         jobs,
         method=method,
         log_prob_threshold=log_prob_threshold,
         validation=validation,
-        on_error=on_error_resolved,
+        on_error=settings.on_error,
         max_iterations=max_iterations,
         extra=fingerprint_extra,
         aux=aux,
@@ -355,7 +361,7 @@ def run_durable_layers(
                     "method": method,
                     "log_prob_threshold": float(log_prob_threshold),
                     "validation": validation,
-                    "on_error": on_error_resolved,
+                    "on_error": settings.on_error,
                     "max_iterations": int(max_iterations),
                 },
                 "extra": dict(sorted((fingerprint_extra or {}).items())),
@@ -389,29 +395,26 @@ def run_durable_layers(
     remaining = [
         job for job in jobs if job.name not in completed and job.name not in failures
     ]
-    if resolve_backend(backend) == "process":
+    if settings.backend == "process":
         # The fleet journals leases/broken leases alongside the layer
         # records and keeps worker-local traces inside the job dir, where
         # they survive for post-mortem even if the supervisor dies.
-        from repro.jobs.fleet import run_fleet_layers
+        from repro.jobs.fleet import fleet_engine
 
         engine = functools.partial(
-            run_fleet_layers, journal=journal, obs_dir=job_dir / "obs"
+            fleet_engine, journal=journal, obs_dir=job_dir / "obs"
         )
     else:
-        engine = quantize_layers
+        engine = thread_engine
     fresh_quantized, fresh_iterations, report = engine(
         state,
         remaining,
+        settings,
         log_prob_threshold=log_prob_threshold,
         method=method,
         max_iterations=max_iterations,
-        workers=workers,
-        on_error=on_error_resolved,
         validation=validation,
         fault_injector=fault_injector,
-        layer_timeout=layer_timeout,
-        transient_retries=transient_retries,
         cancel=cancel,
         on_layer_complete=journal_layer,
         aux=aux,

@@ -137,14 +137,9 @@ class RaiseOnLayer:
     message: str = "injected fault"
 
     def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
-        if self._matches(index, job):
+        if _matches_layer(self.layer, index, job):
             raise InjectedFault(f"{self.message} (layer {job.name!r}, index {index})")
         return None
-
-    def _matches(self, index: int, job: LayerJob) -> bool:
-        if isinstance(self.layer, str):
-            return job.name == self.layer
-        return index == self.layer
 
 
 @dataclass
@@ -193,7 +188,7 @@ class PoisonTensor:
     value: float = 0.5
 
     def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
-        if not self._matches(index, job):
+        if not _matches_layer(self.layer, index, job):
             return None
         poisoned = np.array(weights, dtype=np.float64, copy=True)
         flat = poisoned.ravel()
@@ -206,11 +201,6 @@ class PoisonTensor:
         else:
             raise ValueError(f"unknown poison mode {self.mode!r}")
         return poisoned
-
-    def _matches(self, index: int, job: LayerJob) -> bool:
-        if isinstance(self.layer, str):
-            return job.name == self.layer
-        return index == self.layer
 
 
 @dataclass
@@ -232,14 +222,7 @@ class HangOnLayer:
     def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
         if not _matches_layer(self.layer, index, job):
             return None
-        give_up = time.monotonic() + self.max_seconds
-        while time.monotonic() < give_up:
-            checkpoint()  # raises LayerTimeoutError when the deadline expires
-            time.sleep(0.002)
-        raise InjectedFault(
-            f"HangOnLayer gave up after {self.max_seconds}s without a deadline "
-            f"(layer {job.name!r}): was layer_timeout set?"
-        )
+        _hang_until_deadline(self, job)
 
 
 @dataclass
@@ -404,20 +387,28 @@ class HangWorker:
 
         if current_worker_id() != self.worker:
             return None
-        give_up = time.monotonic() + self.max_seconds
-        while time.monotonic() < give_up:
-            checkpoint()  # raises LayerTimeoutError when the deadline expires
-            time.sleep(0.002)
-        raise InjectedFault(
-            f"HangWorker gave up after {self.max_seconds}s without a deadline "
-            f"(layer {job.name!r}): was layer_timeout set?"
-        )
+        _hang_until_deadline(self, job)
 
 
 def _matches_layer(selector: int | str, index: int, job: LayerJob) -> bool:
+    """A layer selector matches by job index (int) or layer name (str)."""
     if isinstance(selector, str):
         return job.name == selector
     return index == selector
+
+
+def _hang_until_deadline(hang: "HangOnLayer | HangWorker", job: LayerJob) -> None:
+    """Spin on :func:`checkpoint` until the layer's deadline raises
+    :class:`~repro.errors.LayerTimeoutError`; give up after
+    ``hang.max_seconds`` with :class:`InjectedFault`."""
+    give_up = time.monotonic() + hang.max_seconds
+    while time.monotonic() < give_up:
+        checkpoint()
+        time.sleep(0.002)
+    raise InjectedFault(
+        f"{type(hang).__name__} gave up after {hang.max_seconds}s without a "
+        f"deadline (layer {job.name!r}): was layer_timeout set?"
+    )
 
 
 # --------------------------------------------------------------------------

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.model_quantizer import quantize_model, quantize_state_dict
-from repro.core.parallel import (
-    LayerJob,
-    ON_ERROR_ENV,
-    ON_ERROR_POLICIES,
-    default_on_error,
-    quantize_layers,
-    resolve_on_error,
-)
+from repro.core.parallel import LayerJob, quantize_layers
 from repro.core.serialization import load_quantized_model, save_quantized_model
+from repro.core.settings import ON_ERROR_POLICIES, EngineSettings
 from repro.errors import QuantizationError
 from repro.models.heads import BertForSequenceClassification
 from repro.testing.faults import (
@@ -25,6 +19,11 @@ from repro.testing.faults import (
 from tests.conftest import MICRO_CONFIG
 
 WORKER_COUNTS = (1, 2, 4)
+ON_ERROR_ENV = "REPRO_ON_ERROR"
+
+
+def resolve_on_error(on_error):
+    return EngineSettings.resolve(on_error=on_error).on_error
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +41,7 @@ class TestOnErrorResolution:
     def test_default_is_fail(self, monkeypatch):
         monkeypatch.delenv(ON_ERROR_ENV, raising=False)
         assert resolve_on_error(None) == "fail"
-        assert default_on_error() == "fail"
+        assert EngineSettings().on_error == "fail"
 
     def test_environment_read(self, monkeypatch):
         monkeypatch.setenv(ON_ERROR_ENV, "fp32-fallback")
@@ -50,8 +49,8 @@ class TestOnErrorResolution:
 
     def test_bad_environment_rejected(self, monkeypatch):
         monkeypatch.setenv(ON_ERROR_ENV, "explode")
-        with pytest.raises(QuantizationError):
-            default_on_error()
+        with pytest.raises(QuantizationError, match="on_error"):
+            resolve_on_error(None)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(QuantizationError, match="on_error"):

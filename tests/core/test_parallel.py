@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.model_quantizer import quantize_model, quantize_state_dict, select_parameters
-from repro.core.parallel import (
-    LayerJob,
-    QuantizationReport,
-    WORKERS_ENV,
-    default_workers,
-    quantize_layers,
-    resolve_workers,
-)
+from repro.core.parallel import LayerJob, QuantizationReport, quantize_layers
+from repro.core.settings import EngineSettings
 from repro.errors import QuantizationError
 from repro.models.heads import BertForSequenceClassification
 from tests.conftest import MICRO_CONFIG
@@ -29,6 +23,13 @@ def state_and_selection(model):
     return model.state_dict(), select_parameters(model)
 
 
+WORKERS_ENV = "REPRO_WORKERS"
+
+
+def resolve_workers(workers):
+    return EngineSettings.resolve(workers=workers).workers
+
+
 class TestWorkerResolution:
     def test_explicit_count(self):
         assert resolve_workers(3) == 3
@@ -36,30 +37,36 @@ class TestWorkerResolution:
     def test_one_is_serial(self):
         assert resolve_workers(1) == 1
 
-    def test_zero_means_all_cores(self):
+    def test_zero_means_all_cores(self, monkeypatch):
         assert resolve_workers(0) == (os.cpu_count() or 1)
+        monkeypatch.setenv(WORKERS_ENV, "0")
+        assert resolve_workers(None) == (os.cpu_count() or 1)
 
     def test_negative_rejected(self):
-        with pytest.raises(QuantizationError):
+        with pytest.raises(QuantizationError, match="workers"):
             resolve_workers(-1)
 
     def test_non_int_rejected(self):
-        with pytest.raises(QuantizationError):
+        with pytest.raises(QuantizationError, match="workers"):
             resolve_workers(2.5)
+        with pytest.raises(QuantizationError, match="workers"):
+            resolve_workers(True)
 
     def test_none_defaults_to_one(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
+        assert resolve_workers(None) == 1
+        monkeypatch.setenv(WORKERS_ENV, "")
         assert resolve_workers(None) == 1
 
     def test_none_reads_environment(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "5")
         assert resolve_workers(None) == 5
-        assert default_workers() == 5
+        assert resolve_workers(2) == 2
 
     def test_bad_environment_rejected(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(QuantizationError):
-            default_workers()
+        with pytest.raises(QuantizationError, match=WORKERS_ENV):
+            resolve_workers(None)
 
 
 class TestQuantizeLayers:

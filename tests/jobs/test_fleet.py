@@ -13,20 +13,11 @@ import json
 import pytest
 
 from repro.core.model_quantizer import quantize_state_dict
-from repro.core.parallel import (
-    BACKEND_ENV,
-    LayerJob,
-    quantize_layers,
-    resolve_backend,
-)
+from repro.core.parallel import LayerJob
 from repro.core.serialization import save_quantized_model
+from repro.core.settings import EngineSettings
 from repro.errors import QuantizationError
-from repro.jobs.fleet import (
-    default_heartbeat_interval,
-    default_heartbeat_timeout,
-    default_max_reassignments,
-    run_fleet_layers,
-)
+from repro.jobs.fleet import run_fleet_layers
 from repro.jobs.runner import durable_quantize_state_dict, job_status
 from repro.jobs.watchdog import LivenessMonitor
 from repro.obs import recorder as obs
@@ -200,30 +191,29 @@ class TestConfigValidation:
             run_fleet_layers(state, [LayerJob("no.such.tensor", 3)])
 
     @pytest.mark.parametrize(
-        "env, reader",
-        [
-            ("REPRO_HEARTBEAT_INTERVAL", default_heartbeat_interval),
-            ("REPRO_HEARTBEAT_TIMEOUT", default_heartbeat_timeout),
-            ("REPRO_MAX_REASSIGNMENTS", default_max_reassignments),
-        ],
+        "env",
+        ["REPRO_HEARTBEAT_INTERVAL", "REPRO_HEARTBEAT_TIMEOUT", "REPRO_MAX_REASSIGNMENTS"],
     )
-    def test_bad_env_values_rejected(self, monkeypatch, env, reader):
+    def test_bad_env_values_rejected(self, monkeypatch, env):
         monkeypatch.setenv(env, "not-a-number")
         with pytest.raises(QuantizationError, match=env):
-            reader()
+            EngineSettings.resolve()
         monkeypatch.setenv(env, "-1")
-        with pytest.raises(QuantizationError):
-            reader()
+        with pytest.raises(QuantizationError, match=env.lower()[len("repro_"):]):
+            EngineSettings.resolve()
 
     def test_resolve_backend(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        def resolve_backend(backend):
+            return EngineSettings.resolve(backend=backend).backend
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert resolve_backend(None) == "thread"
         assert resolve_backend("process") == "process"
-        monkeypatch.setenv(BACKEND_ENV, "process")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         assert resolve_backend(None) == "process"
         with pytest.raises(QuantizationError, match="backend"):
             resolve_backend("carrier-pigeon")
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
         with pytest.raises(QuantizationError, match="backend"):
             resolve_backend(None)
 

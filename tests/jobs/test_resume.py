@@ -91,6 +91,24 @@ class TestFingerprint:
         assert fp != job_fingerprint(jobs, **{**base, "on_error": "skip"})
         assert fp != job_fingerprint(jobs, **base, extra={"seed": 1})
 
+    def test_pinned_value(self, tmp_path, monkeypatch):
+        # Literal digests: a job dir journaled by an earlier version must
+        # still match, or --resume refuses it.
+        jobs = [LayerJob("a", 3), LayerJob("b", 4), LayerJob("emb", 4, method="linear")]
+        base = dict(method="gobo", log_prob_threshold=-4.0, validation="strict",
+                    on_error="fail", max_iterations=50)
+        pinned = "f9b2dcf190d5bbb67cd93b6fda63ae5a1504fc3a8bfe37e73080c6bc3ce3832b"
+        assert job_fingerprint(jobs, **base) == pinned
+        assert job_fingerprint(
+            jobs, **base, extra={"config": "tiny-bert-base", "seed": 0}
+        ) == "8909a58a428cad14b4d935639ab9cb41bfe001b8cf354ab988e7379d274d1bf2"
+        # on_error=None resolves through the environment before hashing.
+        monkeypatch.delenv("REPRO_ON_ERROR", raising=False)
+        rng = np.random.default_rng(0)
+        state = {name: rng.normal(0, 0.05, size=(16, 16)) for name in ("a", "b", "emb")}
+        run_durable_layers(state, jobs, on_error=None, job_dir=tmp_path)
+        assert job_status(tmp_path).fingerprint == pinned
+
 
 class TestResumeDeterminism:
     """The tentpole guarantee, exercised across workers x tracing."""

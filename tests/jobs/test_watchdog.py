@@ -195,14 +195,18 @@ class TestTransientRetry:
         assert scoped.snapshot().counter("engine.retry") == 2
 
     def test_env_defaults(self, monkeypatch):
-        from repro.core.parallel import (
-            resolve_layer_timeout,
-            resolve_transient_retries,
-        )
+        from repro.core.settings import EngineSettings
 
+        monkeypatch.delenv("REPRO_LAYER_TIMEOUT", raising=False)
+        monkeypatch.delenv("REPRO_TRANSIENT_RETRIES", raising=False)
+        defaults = EngineSettings.resolve()
+        assert defaults.layer_timeout is None
+        assert defaults.transient_retries == 0
         monkeypatch.setenv("REPRO_LAYER_TIMEOUT", "2.5")
         monkeypatch.setenv("REPRO_TRANSIENT_RETRIES", "4")
-        assert resolve_layer_timeout(None) == 2.5
-        assert resolve_transient_retries(None) == 4
-        assert resolve_layer_timeout(1.0) == 1.0
-        assert resolve_transient_retries(0) == 0
+        from_env = EngineSettings.resolve()
+        assert from_env.layer_timeout == 2.5
+        assert from_env.transient_retries == 4
+        explicit = EngineSettings.resolve(layer_timeout=1.0, transient_retries=0)
+        assert explicit.layer_timeout == 1.0
+        assert explicit.transient_retries == 0

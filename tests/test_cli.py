@@ -130,6 +130,22 @@ class TestCommands:
         assert main(["quantize", "--workers", "-1"]) == 2
         assert "workers" in capsys.readouterr().err
 
+    def test_quantize_bad_environment_knob_names_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        assert main(["quantize"]) == 2
+        assert "REPRO_WORKERS" in capsys.readouterr().err
+
+    def test_quantize_bad_fleet_knob_exits_before_any_work(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_MAX_REASSIGNMENTS", "-1")
+        job_dir = tmp_path / "job"
+        assert main(
+            ["quantize", "--backend", "process", "--job-dir", str(job_dir)]
+        ) == 2
+        assert "max_reassignments" in capsys.readouterr().err
+        assert not job_dir.exists()
+
 
 class TestVerifyArchive:
     @pytest.fixture
