@@ -270,9 +270,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.errors import ReproError
     from repro.serve.server import run_server
+    from repro.testing.faults import injector_from_env
 
     try:
         specs = [_parse_model_spec(spec) for spec in args.model]
+        # run_server builds the injector itself; checking the spec here
+        # exits 2 before any model loads.
+        injector_from_env()
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -93,10 +93,13 @@ from repro.utils.tables import format_table
 
 MAX_RETRY_BITS = 8
 
-# A fault injector is called as ``injector(index, job, weights)`` before each
-# layer is quantized; it may raise (simulating a layer failure) or return a
-# replacement weight array (poisoning).  See ``repro.testing.faults``.
-FaultInjector = Callable[[int, "LayerJob", np.ndarray], "np.ndarray | None"]
+# A fault injector is called as ``injector(site, **ctx)``.  At the "layer"
+# site (before each layer is quantized, with ``index=``, ``job=`` and
+# ``weights=``) it may raise (simulating a layer failure) or return a
+# replacement weight array (poisoning); the serve path calls the same
+# injector at "forward" and "load" with ``model=``.  See
+# ``repro.testing.faults``.
+FaultInjector = Callable[..., "np.ndarray | None"]
 
 
 @dataclass(frozen=True)
@@ -359,7 +362,9 @@ class JobRunner:
         with obs.span("engine.layer", layer=job.name, bits=bits) as layer_span:
             weights = self.state[job.name]
             if self.fault_injector is not None:
-                replacement = self.fault_injector(index, job, weights)
+                replacement = self.fault_injector(
+                    "layer", index=index, job=job, weights=weights
+                )
                 if replacement is not None:
                     weights = replacement
             tensor, result = quantize_tensor(

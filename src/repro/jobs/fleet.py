@@ -250,9 +250,7 @@ def _worker_main(
     sink = obs.install(JsonlSink(Path(config.obs_dir) / f"worker-{worker_id}.jsonl"))
     # Injectors are rebuilt from the text spec in each worker: injector
     # objects hold locks and cannot cross the process boundary.
-    injector = (
-        injector_from_spec(config.fault_spec) if config.fault_spec.strip() else None
-    )
+    injector = injector_from_spec(config.fault_spec)
     runner = JobRunner(
         state=state,
         settings=config.settings,
@@ -403,13 +401,12 @@ def fleet_engine(
         )
     if fault_spec is None:
         fault_spec = os.environ.get(FAULTS_ENV, "")
-    if fault_spec.strip():
-        # Validate supervisor-side so a typo fails the run loudly instead of
-        # crashing (or silently disarming) every worker.
-        try:
-            injector_from_spec(fault_spec)
-        except ValueError as exc:
-            raise QuantizationError(f"bad fault spec for fleet workers: {exc}") from exc
+    # Validate supervisor-side so a typo fails the run loudly instead of
+    # crashing (or silently disarming) every worker.
+    try:
+        injector_from_spec(fault_spec)
+    except ValueError as exc:
+        raise QuantizationError(f"bad fault spec for fleet workers: {exc}") from exc
 
     workers = settings.workers
     on_error = settings.on_error

@@ -1,82 +1,48 @@
-"""Deterministic fault injectors for the quantization pipeline and storage.
+"""Deterministic fault injectors for quantization, serving and storage.
 
-The layer-parallel engine accepts a ``fault_injector`` hook — called as
-``injector(index, job, weights)`` before each layer quantizes — which may
-raise (simulating a layer failure) or return a replacement weight array
-(poisoning the input).  The injectors here are the deterministic,
-worker-count-independent building blocks the robustness test suite uses to
-prove every ``on_error``/``validation`` policy path end-to-end:
+Every injector is one callable, ``injector(site, **ctx)``, called at three
+named sites — only when an injector is set, so production pays nothing:
 
-* :class:`RaiseOnLayer` — fail one specific layer, selected by job index or
-  name, every time it is attempted (a persistent fault).
-* :class:`RaiseNth` — fail the Nth injector call (1-based, thread-safe);
-  with ``times`` it becomes a transient fault that clears after N raises.
-* :class:`PoisonTensor` — hand the engine a NaN/Inf/constant-poisoned copy
-  of one layer's weights, exercising the validation layer rather than the
-  exception path.
+* ``"layer"`` — :meth:`repro.core.parallel.JobRunner.attempt`, before each
+  layer quantizes, with ``index=``, ``job=`` and ``weights=``.  The injector
+  may raise (a layer failure) or return a replacement weight array
+  (poisoned input).
+* ``"forward"`` — :class:`repro.serve.batcher.MicroBatcher`, before each
+  model forward, with ``model=``.
+* ``"load"`` — :class:`repro.serve.registry.ModelRegistry`, before each
+  archive load, with ``model=``.
 
-Durability-oriented injectors exercise the job subsystem end-to-end:
+Each built-in injector (an :class:`Injector` subclass) acts at the one site
+its class declares and is inert at the others, so one injector — one
+``REPRO_FAULTS`` value — carries engine and serve faults together.
 
-* :class:`HangOnLayer` — stall the targeted layer (cooperatively: it polls
-  :func:`repro.jobs.watchdog.checkpoint`), proving the per-layer watchdog
-  converts a hang into a ``timeout`` failure.
-* :class:`SlowLayer` — delay every (or one) layer by a fixed number of
-  seconds; combined with a tight ``layer_timeout`` this also times out, and
-  alone it widens the window for signal/kill tests.
-* :class:`TransientIOFault` — raise :class:`InjectedIOError` (an ``OSError``)
-  the first N attempts of a layer, then succeed: the shape of a flaky
-  filesystem or NFS blip the transient-retry loop absorbs in place.
-* :class:`CrashOnCall` / :func:`crash_process` — SIGKILL the process on the
-  Nth injector call: the crash the journal + ``--resume`` path recovers from.
+Layer-site injectors prove every ``on_error``/``validation`` policy path and
+the durable-job machinery: :class:`RaiseOnLayer` (persistent failure),
+:class:`RaiseNth` (transient failure), :class:`PoisonTensor` (NaN/Inf/
+constant weights), :class:`HangOnLayer` and :class:`SlowLayer` (caught by
+the per-layer watchdog), :class:`TransientIOFault` (an ``OSError`` the
+transient-retry loop absorbs) and :class:`CrashOnCall` (SIGKILL, recovered
+by ``--resume``).  :class:`KillWorker`, :class:`MuteWorker` and
+:class:`HangWorker` act only inside one worker process of a
+``backend="process"`` fleet (:mod:`repro.jobs.fleet`) and are inert under
+the thread backend.
 
-Process-fleet injectors target one worker *process* of a
-``backend="process"`` run (:mod:`repro.jobs.fleet`) by worker id:
+Serve-site injectors drive the self-healing runtime (DESIGN.md §5i):
+:class:`HangForward` (a non-cooperative hang only the batch watchdog
+catches), :class:`FailForward` (breaker feed), :class:`CorruptMemberAtServe`
+(the lazy-CRC integrity error that quarantines a model) and
+:class:`SlowLoad` (widens reload/probe race windows).
 
-* :class:`KillWorker` — SIGKILL the targeted worker mid-layer: the
-  supervisor must reassign the leased layer to a survivor.
-* :class:`MuteWorker` — mute the worker's heartbeats and wedge it: the
-  supervisor's liveness monitor must declare it dead and SIGKILL it.
-* :class:`HangWorker` — cooperatively hang the worker's current layer while
-  heartbeats keep flowing: the *worker-local* watchdog must time it out.
+Subprocesses and fleet workers cannot receive injector objects (they hold
+locks, which do not pickle), so injectors are also described by text specs
+(``"crash:3"``, ``"kill-worker:1"``, ``"fail-forward:alpha:0"``, ...; the
+grammar is the table in :func:`injector_from_spec`).  The quantize and
+serve CLIs build theirs from the ``REPRO_FAULTS`` variable via
+:func:`injector_from_env`; each fleet worker rebuilds its own from the spec
+(stateful injectors count per worker, not globally).
 
-Because kill-and-resume tests need faults inside a *subprocess* — and fleet
-workers cannot receive injector objects at all (they hold locks, which do
-not pickle) — injectors can be described as text specs (``"crash:3"``,
-``"hang:layer2"``, ``"slow:0.2"``, ``"transient-io:layer1:2"``,
-``"kill-worker:1"``) parsed by :func:`injector_from_spec`; the CLI builds
-one from the ``REPRO_FAULTS`` environment variable via
-:func:`injector_from_env`, and each fleet worker rebuilds its own from the
-spec (stateful injectors count per worker, not globally).
-
-Serve-path injectors target the online request path (:mod:`repro.serve`,
-DESIGN.md §5i) rather than the offline engine.  They follow a different
-protocol — ``injector(stage, model)`` called at named hook points
-(``"forward"`` in the micro-batcher, ``"load"`` in the registry) — and are
-parsed from the same ``REPRO_FAULTS`` variable by
-:func:`serve_injector_from_env`, so the serve CLI plants chaos exactly the
-way the quantize CLI does.  Engine kinds in the spec are ignored by the
-serve parser and vice versa (the two paths share one environment variable):
-
-* :class:`HangForward` — wedge the batch worker inside a forward
-  (non-cooperatively: a real sleep, like a hung mmap read on failing
-  storage).  The batch-worker watchdog must fail the batch within
-  ``--forward-timeout`` and replace the worker.
-* :class:`FailForward` — raise :class:`InjectedFault` from the forward the
-  first N matching calls: transient failures that feed the health
-  breaker's sliding window.
-* :class:`CorruptMemberAtServe` — raise
-  :class:`~repro.errors.ChecksumMismatchError` from the forward, the exact
-  error a lazy-CRC check produces when an archive member rots under a
-  registered model: the health machine must quarantine the model and
-  start background reloads from disk.
-* :class:`SlowLoad` — delay archive loads in the registry, widening
-  reload/probe race windows.
-
-Storage-level injectors simulate the two ways an archive dies on disk:
-
-* :func:`truncate_file` — a crash mid-write (the container is torn),
-* :func:`corrupt_bytes` — bit rot / a flipped byte inside an intact
-  container.
+:func:`truncate_file` and :func:`corrupt_bytes` simulate the two ways an
+archive dies on disk: a crash mid-write and bit rot.
 
 None of these depend on pytest; they are plain callables/functions usable
 from any harness.
@@ -88,25 +54,26 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from repro.core.parallel import LayerJob
+from repro.errors import ChecksumMismatchError
 from repro.jobs.watchdog import checkpoint
 
-#: Environment variable the CLI reads fault specs from (kill/resume tests).
+#: Environment variable the CLIs read fault specs from.
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Spec kinds handled by the engine parser (:func:`injector_from_spec`);
-#: the serve parser skips these, and the engine parser skips
-#: :data:`SERVE_FAULT_KINDS`, so one ``REPRO_FAULTS`` value can target
-#: both the offline pipeline and the serving runtime.
-ENGINE_FAULT_KINDS = frozenset({
-    "raise", "hang", "slow", "transient-io", "crash", "poison",
-    "kill-worker", "mute-worker", "hang-worker",
-})
+#: Lowest accepted value of each numeric injector field, checked at
+#: construction: an injector that can never fire would make a chaos test
+#: pass vacuously.
+_MINIMUM = {"nth": 1, "times": 0, "worker": 0, "stride": 1,
+            "seconds": 0.0, "max_seconds": 0.0}
+
+_POISON_MODES = ("nan", "inf", "constant")
 
 
 class InjectedFault(RuntimeError):
@@ -125,7 +92,54 @@ class InjectedIOError(OSError):
 
 
 @dataclass
-class RaiseOnLayer:
+class Injector:
+    """Base of the built-in injectors: acts at :attr:`site`, inert elsewhere.
+
+    Subclasses set ``site`` and implement ``fire`` with that site's context
+    keywords.  Counting injectors share :meth:`_hit`.
+    """
+
+    site: ClassVar[str]
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            low = _MINIMUM.get(spec.name)
+            value = getattr(self, spec.name)
+            if low is not None and not value >= low:
+                raise ValueError(
+                    f"{type(self).__name__}.{spec.name} must be >= {low}, got {value!r}"
+                )
+
+    def __call__(self, site: str, **ctx):
+        return self.fire(**ctx) if site == self.site else None
+
+    def _hit(self, first: int = 1, times: int = 1, key=None) -> int | None:
+        """Count one matching call (per ``key``, thread-safely).
+
+        Returns the call's 1-based number when it is one of calls
+        ``first .. first + times - 1`` (``times=0``: every call from
+        ``first`` on), else None.
+        """
+        with self._lock:
+            count = self._counts[key] = self._counts.get(key, 0) + 1
+        if count >= first and (times == 0 or count < first + times):
+            return count
+        return None
+
+
+def _matches_layer(selector: int | str, index: int, job: LayerJob) -> bool:
+    """A layer selector matches by job index (int) or layer name (str)."""
+    if isinstance(selector, str):
+        return job.name == selector
+    return index == selector
+
+
+@dataclass
+class RaiseOnLayer(Injector):
     """Raise whenever the targeted layer is attempted.
 
     ``layer`` selects by job index (int) or layer name (str).  Persistent:
@@ -133,46 +147,38 @@ class RaiseOnLayer:
     ``on_error="retry-higher-bits"`` the layer ends in FP32 fallback.
     """
 
+    site = "layer"
     layer: int | str
     message: str = "injected fault"
 
-    def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
+    def fire(self, index: int, job: LayerJob, weights: np.ndarray) -> None:
         if _matches_layer(self.layer, index, job):
             raise InjectedFault(f"{self.message} (layer {job.name!r}, index {index})")
-        return None
 
 
 @dataclass
-class RaiseNth:
-    """Raise on the Nth injector call (1-based), counted thread-safely.
+class RaiseNth(Injector):
+    """Raise on the ``nth`` layer call (1-based) and the ``times - 1`` after
+    it (``times=0``: every call from the ``nth`` on).
 
-    Under parallel fan-out the *which layer* of the Nth call depends on
+    Under parallel fan-out *which layer* the Nth call hits depends on
     scheduling, but the invariant the robustness suite needs — exactly
     ``times`` injected failures per run — holds for every worker count.
-    ``times`` bounds how many calls raise; afterwards the fault clears
-    (a transient error).
     """
 
+    site = "layer"
     nth: int = 1
     times: int = 1
     message: str = "injected transient fault"
-    _calls: int = field(default=0, repr=False)
-    _raised: int = field(default=0, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
-        with self._lock:
-            self._calls += 1
-            should_raise = self._calls >= self.nth and self._raised < self.times
-            if should_raise:
-                self._raised += 1
-        if should_raise:
-            raise InjectedFault(f"{self.message} (call {self._calls}, layer {job.name!r})")
-        return None
+    def fire(self, index: int, job: LayerJob, weights: np.ndarray) -> None:
+        call = self._hit(self.nth, self.times)
+        if call is not None:
+            raise InjectedFault(f"{self.message} (call {call}, layer {job.name!r})")
 
 
 @dataclass
-class PoisonTensor:
+class PoisonTensor(Injector):
     """Replace the targeted layer's weights with a poisoned copy.
 
     ``mode`` is one of ``"nan"`` (every ``stride``-th entry becomes NaN),
@@ -182,219 +188,29 @@ class PoisonTensor:
     rather than the exception-isolation path.
     """
 
+    site = "layer"
     layer: int | str
     mode: str = "nan"
     stride: int = 7
     value: float = 0.5
 
-    def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.mode not in _POISON_MODES:
+            raise ValueError(
+                f"unknown poison mode {self.mode!r}; expected one of {_POISON_MODES}"
+            )
+
+    def fire(self, index: int, job: LayerJob, weights: np.ndarray):
         if not _matches_layer(self.layer, index, job):
             return None
         poisoned = np.array(weights, dtype=np.float64, copy=True)
         flat = poisoned.ravel()
-        if self.mode == "nan":
-            flat[:: self.stride] = np.nan
-        elif self.mode == "inf":
-            flat[:: self.stride] = np.inf
-        elif self.mode == "constant":
+        if self.mode == "constant":
             flat[:] = self.value
         else:
-            raise ValueError(f"unknown poison mode {self.mode!r}")
+            flat[:: self.stride] = np.nan if self.mode == "nan" else np.inf
         return poisoned
-
-
-@dataclass
-class HangOnLayer:
-    """Stall the targeted layer until the watchdog deadline fires.
-
-    The stall is *cooperative*: it spins on
-    :func:`repro.jobs.watchdog.checkpoint`, which raises
-    :class:`~repro.errors.LayerTimeoutError` the moment the engine's
-    per-layer deadline expires — the same mechanism that catches a hang in
-    the clustering loop.  ``max_seconds`` is a harness safety net: with no
-    deadline armed (no ``layer_timeout``), the hang gives up after that long
-    and raises :class:`InjectedFault` instead of wedging the test suite.
-    """
-
-    layer: int | str
-    max_seconds: float = 30.0
-
-    def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
-        if not _matches_layer(self.layer, index, job):
-            return None
-        _hang_until_deadline(self, job)
-
-
-@dataclass
-class SlowLayer:
-    """Delay layers by ``seconds`` (every layer, or just the targeted one).
-
-    Sleeps in small checkpointed slices, so a ``layer_timeout`` shorter than
-    the delay still converts it into a timeout failure promptly.
-    """
-
-    seconds: float
-    layer: int | str | None = None
-
-    def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
-        if self.layer is not None and not _matches_layer(self.layer, index, job):
-            return None
-        deadline = time.monotonic() + self.seconds
-        while time.monotonic() < deadline:
-            checkpoint()
-            time.sleep(min(0.005, self.seconds))
-        return None
-
-
-@dataclass
-class TransientIOFault:
-    """Raise :class:`InjectedIOError` the first ``times`` attempts of a layer.
-
-    Counted per layer, thread-safely, across retries: attempt 1..``times``
-    raise, attempt ``times+1`` succeeds.  With ``transient_retries >= times``
-    the engine absorbs the fault in place and the run's output is
-    bit-identical to a fault-free run; with a smaller budget the error
-    escalates to the ``on_error`` policy like any other exception.
-    """
-
-    layer: int | str
-    times: int = 1
-    _attempts: dict[str, int] = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
-        if not _matches_layer(self.layer, index, job):
-            return None
-        with self._lock:
-            attempt = self._attempts.get(job.name, 0) + 1
-            self._attempts[job.name] = attempt
-        if attempt <= self.times:
-            raise InjectedIOError(
-                f"injected transient I/O fault (layer {job.name!r}, "
-                f"attempt {attempt}/{self.times})"
-            )
-        return None
-
-
-def crash_process() -> None:
-    """SIGKILL the current process: no cleanup, no atexit, no flushing.
-
-    The honest simulation of OOM-kills and power loss — everything not
-    already fsynced is lost, which is exactly what the journal's
-    append-then-fsync discipline is designed to survive.
-    """
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-@dataclass
-class CrashOnCall:
-    """SIGKILL the process on the ``nth`` injector call (1-based).
-
-    Counted thread-safely across workers.  Used (via ``REPRO_FAULTS=crash:N``)
-    by the kill-and-resume tests: the subprocess dies mid-run, the journal
-    keeps every layer that finished, and ``--resume`` completes the rest.
-    """
-
-    nth: int = 1
-    _calls: int = field(default=0, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
-        with self._lock:
-            self._calls += 1
-            hit = self._calls == self.nth
-        if hit:
-            crash_process()
-        return None
-
-
-@dataclass
-class KillWorker:
-    """SIGKILL fleet worker ``worker`` on its ``nth`` injector call (1-based).
-
-    The canonical fleet chaos fault: targets one worker process by id
-    (:func:`repro.jobs.fleet.current_worker_id`), counts calls within that
-    worker only, and dies mid-layer with no cleanup.  The supervisor must
-    reassign the leased layer to a survivor and the final archive must be
-    byte-identical to an undisturbed run.  Outside a fleet worker this
-    injector never matches, so the same ``REPRO_FAULTS`` spec is inert
-    under the thread backend.
-    """
-
-    worker: int
-    nth: int = 1
-    _calls: int = field(default=0, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
-        from repro.jobs.fleet import current_worker_id
-
-        if current_worker_id() != self.worker:
-            return None
-        with self._lock:
-            self._calls += 1
-            hit = self._calls == self.nth
-        if hit:
-            crash_process()
-        return None
-
-
-@dataclass
-class MuteWorker:
-    """Silence worker ``worker``'s heartbeats, then wedge it.
-
-    Simulates the worker that is alive but unresponsive — stuck in
-    GIL-holding native code, swapping, or otherwise never beating.  The
-    fault mutes the heartbeat thread
-    (:func:`repro.jobs.fleet.mute_heartbeat`) and then sleeps without
-    checkpointing; the supervisor must notice the silence, SIGKILL the
-    worker and reassign its layer.  ``max_seconds`` bounds the wedge so a
-    misconfigured harness fails loudly instead of hanging.
-    """
-
-    worker: int
-    max_seconds: float = 30.0
-
-    def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
-        from repro.jobs.fleet import current_worker_id, mute_heartbeat
-
-        if current_worker_id() != self.worker:
-            return None
-        mute_heartbeat()
-        time.sleep(self.max_seconds)  # the supervisor SIGKILLs us long before
-        raise InjectedFault(
-            f"MuteWorker outlived {self.max_seconds}s of silence "
-            f"(layer {job.name!r}): did the supervisor's liveness check run?"
-        )
-
-
-@dataclass
-class HangWorker:
-    """Cooperatively hang worker ``worker``'s current layer.
-
-    The fleet counterpart of :class:`HangOnLayer`: the stall polls
-    :func:`repro.jobs.watchdog.checkpoint`, so the *worker-local* watchdog
-    converts it into a ``timeout`` failure while heartbeats keep flowing —
-    proving per-layer deadlines still work inside fleet workers, distinct
-    from the heartbeat-silence path :class:`MuteWorker` exercises.
-    """
-
-    worker: int
-    max_seconds: float = 30.0
-
-    def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
-        from repro.jobs.fleet import current_worker_id
-
-        if current_worker_id() != self.worker:
-            return None
-        _hang_until_deadline(self, job)
-
-
-def _matches_layer(selector: int | str, index: int, job: LayerJob) -> bool:
-    """A layer selector matches by job index (int) or layer name (str)."""
-    if isinstance(selector, str):
-        return job.name == selector
-    return index == selector
 
 
 def _hang_until_deadline(hang: "HangOnLayer | HangWorker", job: LayerJob) -> None:
@@ -411,46 +227,202 @@ def _hang_until_deadline(hang: "HangOnLayer | HangWorker", job: LayerJob) -> Non
     )
 
 
-# --------------------------------------------------------------------------
-# Serve-path injectors: protocol injector(stage, model), stages "forward"
-# (micro-batcher, before each model forward) and "load" (registry, before
-# each archive load).  See DESIGN.md §5i.
+@dataclass
+class HangOnLayer(Injector):
+    """Stall the targeted layer until the watchdog deadline fires.
 
-#: Spec kinds handled by the serve parser (and skipped by the engine one).
-SERVE_FAULT_KINDS = frozenset(
-    {"hang-forward", "fail-forward", "corrupt-member-at-serve", "slow-load"}
-)
+    The stall is *cooperative*: it spins on
+    :func:`repro.jobs.watchdog.checkpoint`, which raises
+    :class:`~repro.errors.LayerTimeoutError` the moment the engine's
+    per-layer deadline expires — the same mechanism that catches a hang in
+    the clustering loop.  ``max_seconds`` is a harness safety net: with no
+    deadline armed (no ``layer_timeout``), the hang gives up after that long
+    and raises :class:`InjectedFault` instead of wedging the test suite.
+    """
+
+    site = "layer"
+    layer: int | str
+    max_seconds: float = 30.0
+
+    def fire(self, index: int, job: LayerJob, weights: np.ndarray) -> None:
+        if _matches_layer(self.layer, index, job):
+            _hang_until_deadline(self, job)
 
 
 @dataclass
-class HangForward:
+class SlowLayer(Injector):
+    """Delay layers by ``seconds`` (every layer, or just the targeted one).
+
+    Sleeps in small checkpointed slices, so a ``layer_timeout`` shorter than
+    the delay still converts it into a timeout failure promptly.
+    """
+
+    site = "layer"
+    seconds: float
+    layer: int | str | None = None
+
+    def fire(self, index: int, job: LayerJob, weights: np.ndarray) -> None:
+        if self.layer is not None and not _matches_layer(self.layer, index, job):
+            return
+        deadline = time.monotonic() + self.seconds
+        while time.monotonic() < deadline:
+            checkpoint()
+            time.sleep(min(0.005, self.seconds))
+
+
+@dataclass
+class TransientIOFault(Injector):
+    """Raise :class:`InjectedIOError` the first ``times`` attempts of a layer.
+
+    Counted per layer, thread-safely, across retries: attempt 1..``times``
+    raise, attempt ``times+1`` succeeds.  With ``transient_retries >= times``
+    the engine absorbs the fault in place and the run's output is
+    bit-identical to a fault-free run; with a smaller budget the error
+    escalates to the ``on_error`` policy like any other exception.
+    ``times`` must be >= 1: a transient fault both fires and clears.
+    """
+
+    site = "layer"
+    layer: int | str
+    times: int = 1
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.times < 1:
+            raise ValueError(f"TransientIOFault.times must be >= 1, got {self.times!r}")
+
+    def fire(self, index: int, job: LayerJob, weights: np.ndarray) -> None:
+        if not _matches_layer(self.layer, index, job):
+            return
+        attempt = self._hit(times=self.times, key=job.name)
+        if attempt is not None:
+            raise InjectedIOError(
+                f"injected transient I/O fault (layer {job.name!r}, "
+                f"attempt {attempt}/{self.times})"
+            )
+
+
+def crash_process() -> None:
+    """SIGKILL the current process: no cleanup, no atexit, no flushing.
+
+    The honest simulation of OOM-kills and power loss — everything not
+    already fsynced is lost, which is exactly what the journal's
+    append-then-fsync discipline is designed to survive.
+    """
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@dataclass
+class CrashOnCall(Injector):
+    """SIGKILL the process on the ``nth`` layer call (1-based).
+
+    Counted thread-safely across workers.  Used (via ``REPRO_FAULTS=crash:N``)
+    by the kill-and-resume tests: the subprocess dies mid-run, the journal
+    keeps every layer that finished, and ``--resume`` completes the rest.
+    """
+
+    site = "layer"
+    nth: int = 1
+
+    def fire(self, index: int, job: LayerJob, weights: np.ndarray) -> None:
+        if self._hit(self.nth) is not None:
+            crash_process()
+
+
+@dataclass
+class _OnWorker(Injector):
+    """Acts only inside fleet worker ``worker``
+    (:func:`repro.jobs.fleet.current_worker_id`), so the same spec is inert
+    under the thread backend."""
+
+    site = "layer"
+    worker: int
+
+    def __call__(self, site: str, **ctx):
+        from repro.jobs.fleet import current_worker_id
+
+        if current_worker_id() != self.worker:
+            return None
+        return super().__call__(site, **ctx)
+
+
+@dataclass
+class KillWorker(CrashOnCall, _OnWorker):
+    """SIGKILL fleet worker ``worker`` on its ``nth`` layer call (1-based).
+
+    :class:`CrashOnCall` counted within one worker: the canonical fleet
+    chaos fault.  The supervisor must reassign the leased layer to a
+    survivor and the final archive must be byte-identical to an
+    undisturbed run.
+    """
+
+
+@dataclass
+class MuteWorker(_OnWorker):
+    """Silence worker ``worker``'s heartbeats, then wedge it.
+
+    Simulates the worker that is alive but unresponsive — stuck in
+    GIL-holding native code, swapping, or otherwise never beating.  The
+    fault mutes the heartbeat thread
+    (:func:`repro.jobs.fleet.mute_heartbeat`) and then sleeps without
+    checkpointing; the supervisor must notice the silence, SIGKILL the
+    worker and reassign its layer.  ``max_seconds`` bounds the wedge so a
+    misconfigured harness fails loudly instead of hanging.
+    """
+
+    max_seconds: float = 30.0
+
+    def fire(self, index: int, job: LayerJob, weights: np.ndarray) -> None:
+        from repro.jobs.fleet import mute_heartbeat
+
+        mute_heartbeat()
+        time.sleep(self.max_seconds)  # the supervisor SIGKILLs us long before
+        raise InjectedFault(
+            f"MuteWorker outlived {self.max_seconds}s of silence "
+            f"(layer {job.name!r}): did the supervisor's liveness check run?"
+        )
+
+
+@dataclass
+class HangWorker(_OnWorker):
+    """Cooperatively hang worker ``worker``'s current layer.
+
+    The fleet counterpart of :class:`HangOnLayer`: the stall polls
+    :func:`repro.jobs.watchdog.checkpoint`, so the *worker-local* watchdog
+    converts it into a ``timeout`` failure while heartbeats keep flowing —
+    proving per-layer deadlines still work inside fleet workers, distinct
+    from the heartbeat-silence path :class:`MuteWorker` exercises.
+    """
+
+    max_seconds: float = 30.0
+
+    def fire(self, index: int, job: LayerJob, weights: np.ndarray) -> None:
+        _hang_until_deadline(self, job)
+
+
+@dataclass
+class HangForward(Injector):
     """Wedge the batch worker inside a forward for ``seconds``.
 
     The sleep is deliberately *non-cooperative* (no checkpoints): this is
     the hung-mmap-read / stuck-native-code hang class only an external
     watchdog can catch.  Fires on the first ``times`` forwards of ``model``
-    (None = any model), then clears — so a replaced worker's retry of the
-    next request succeeds, proving recovery.
+    (None = any model; ``times=0`` = every forward), then clears — so a
+    replaced worker's retry of the next request succeeds, proving recovery.
     """
 
+    site = "forward"
     model: str | None = None
     seconds: float = 30.0
     times: int = 1
-    _hits: int = field(default=0, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def __call__(self, stage: str, model: str) -> None:
-        if stage != "forward" or self.model not in (None, model):
-            return
-        with self._lock:
-            if self._hits >= self.times:
-                return
-            self._hits += 1
-        time.sleep(self.seconds)
+    def fire(self, model: str) -> None:
+        if self.model in (None, model) and self._hit(times=self.times) is not None:
+            time.sleep(self.seconds)
 
 
 @dataclass
-class FailForward:
+class FailForward(Injector):
     """Raise :class:`InjectedFault` from the first ``times`` forwards of
     ``model`` (None = any model; ``times=0`` = every forward, persistent).
 
@@ -458,59 +430,42 @@ class FailForward:
     inside the breaker window must trip the model into quarantine.
     """
 
+    site = "forward"
     model: str | None = None
     times: int = 1
-    _hits: int = field(default=0, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def __call__(self, stage: str, model: str) -> None:
-        if stage != "forward" or self.model not in (None, model):
+    def fire(self, model: str) -> None:
+        if self.model not in (None, model):
             return
-        with self._lock:
-            if self.times and self._hits >= self.times:
-                return
-            self._hits += 1
-            hit = self._hits
-        raise InjectedFault(
-            f"injected forward failure (model {model!r}, hit {hit})"
-        )
+        hit = self._hit(times=self.times)
+        if hit is not None:
+            raise self._error(model, hit)
+
+    def _error(self, model: str, hit: int) -> Exception:
+        return InjectedFault(f"injected forward failure (model {model!r}, hit {hit})")
 
 
 @dataclass
-class CorruptMemberAtServe:
-    """Surface a lazy-CRC integrity error mid-forward.
+class CorruptMemberAtServe(FailForward):
+    """:class:`FailForward` raising a lazy-CRC integrity error instead.
 
     Raises :class:`~repro.errors.ChecksumMismatchError` — the exact type a
-    ``verify="lazy"`` member read produces on bit rot — from the first
-    ``times`` forwards of ``model``.  Deterministic regardless of which
-    members earlier batches already touched and cached, which is what makes
-    it usable from a live chaos script; the genuinely-corrupt-bytes path is
-    covered by the in-process self-healing suite, which flips real bytes on
-    disk before first touch.
+    ``verify="lazy"`` member read produces on bit rot.  Deterministic
+    regardless of which members earlier batches already touched and cached,
+    which is what makes it usable from a live chaos script; the
+    genuinely-corrupt-bytes path is covered by the in-process self-healing
+    suite, which flips real bytes on disk before first touch.
     """
 
-    model: str | None = None
-    times: int = 1
-    _hits: int = field(default=0, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def __call__(self, stage: str, model: str) -> None:
-        from repro.errors import ChecksumMismatchError
-
-        if stage != "forward" or self.model not in (None, model):
-            return
-        with self._lock:
-            if self.times and self._hits >= self.times:
-                return
-            self._hits += 1
-        raise ChecksumMismatchError(
+    def _error(self, model: str, hit: int) -> Exception:
+        return ChecksumMismatchError(
             f"injected member CRC mismatch for model {model!r} "
             f"(corrupt-member-at-serve)"
         )
 
 
 @dataclass
-class SlowLoad:
+class SlowLoad(Injector):
     """Delay every archive load (or just ``model``'s) by ``seconds``.
 
     Exercises that a slow quarantine reload or hot-swap never blocks the
@@ -518,78 +473,35 @@ class SlowLoad:
     for tests.
     """
 
+    site = "load"
     seconds: float
     model: str | None = None
 
-    def __call__(self, stage: str, model: str) -> None:
-        if stage != "load" or self.model not in (None, model):
-            return
-        time.sleep(self.seconds)
+    def fire(self, model: str) -> None:
+        if self.model in (None, model):
+            time.sleep(self.seconds)
 
 
-def compose_serve_injectors(*injectors):
-    """Chain serve injectors: each may sleep or raise; first raise wins."""
+@dataclass(frozen=True)
+class _Chain:
+    """Injectors called in order; see :func:`compose_injectors`."""
 
-    def injector(stage: str, model: str) -> None:
-        for inject in injectors:
-            inject(stage, model)
+    injectors: tuple
 
-    return injector
-
-
-def serve_injector_from_spec(spec: str):
-    """Build a serve-path injector from a comma-separated text spec.
-
-    Forms (``MODEL`` is a registered model name)::
-
-        hang-forward:MODEL[:SECONDS[:TIMES]]    HangForward
-        fail-forward:MODEL[:TIMES]              FailForward (0 = persistent)
-        corrupt-member-at-serve:MODEL[:TIMES]   CorruptMemberAtServe
-        slow-load:SECONDS[:MODEL]               SlowLoad
-
-    Engine-side kinds (``crash:3``, ``kill-worker:1``, ...) in the same
-    spec are skipped, so one ``REPRO_FAULTS`` value can carry faults for
-    both paths; a kind *neither* parser knows raises ``ValueError``.
-    Returns None when the spec contains no serve faults.
-    """
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
-    injectors = []
-    for part in parts:
-        kind, _, rest = part.partition(":")
-        args = rest.split(":") if rest else []
-        try:
-            if kind == "hang-forward":
-                model = args[0]
-                seconds = float(args[1]) if len(args) > 1 else 30.0
-                times = int(args[2]) if len(args) > 2 else 1
-                injectors.append(HangForward(model, seconds=seconds, times=times))
-            elif kind == "fail-forward":
-                model = args[0]
-                times = int(args[1]) if len(args) > 1 else 1
-                injectors.append(FailForward(model, times=times))
-            elif kind == "corrupt-member-at-serve":
-                model = args[0]
-                times = int(args[1]) if len(args) > 1 else 1
-                injectors.append(CorruptMemberAtServe(model, times=times))
-            elif kind == "slow-load":
-                seconds = float(args[0])
-                model = args[1] if len(args) > 1 else None
-                injectors.append(SlowLoad(seconds, model=model))
-            elif kind in ENGINE_FAULT_KINDS:
-                continue  # an engine fault riding in the same variable
-            else:
-                raise ValueError(f"unknown fault kind {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"bad fault spec {part!r}: {exc}") from exc
-    if not injectors:
-        return None
-    return injectors[0] if len(injectors) == 1 else compose_serve_injectors(*injectors)
+    def __call__(self, site: str, **ctx):
+        replaced = None
+        for inject in self.injectors:
+            outcome = inject(site, **ctx)
+            if outcome is not None:
+                replaced = ctx["weights"] = outcome
+        return replaced
 
 
-def serve_injector_from_env(env: str = FAULTS_ENV):
-    """Serve-path injector described by ``REPRO_FAULTS`` (None when unset)."""
-    spec = os.environ.get(env, "")
-    return serve_injector_from_spec(spec) if spec.strip() else None
+def compose_injectors(*injectors) -> _Chain:
+    """Chain injectors: each may sleep or raise (the first raise wins); a
+    replacement array is the ``weights`` the injectors after it see.
+    Chains compare equal when their injectors do."""
+    return _Chain(injectors)
 
 
 def _parse_layer(token: str) -> int | str:
@@ -600,69 +512,71 @@ def _parse_layer(token: str) -> int | str:
         return token
 
 
+#: The spec grammar: kind -> (injector, its fields in argument order).  The
+#: first argument is required; omitted later ones take the class defaults.
+_SPEC_KINDS = {
+    "raise": (RaiseOnLayer, ("layer",)),
+    "hang": (HangOnLayer, ("layer",)),
+    "slow": (SlowLayer, ("seconds", "layer")),
+    "transient-io": (TransientIOFault, ("layer", "times")),
+    "crash": (CrashOnCall, ("nth",)),
+    "poison": (PoisonTensor, ("layer", "mode")),
+    "kill-worker": (KillWorker, ("worker", "nth")),
+    "mute-worker": (MuteWorker, ("worker", "max_seconds")),
+    "hang-worker": (HangWorker, ("worker", "max_seconds")),
+    "hang-forward": (HangForward, ("model", "seconds", "times")),
+    "fail-forward": (FailForward, ("model", "times")),
+    "corrupt-member-at-serve": (CorruptMemberAtServe, ("model", "times")),
+    "slow-load": (SlowLoad, ("seconds", "model")),
+}
+
+#: How a spec argument becomes a field value (fields not listed stay str).
+_ARG_PARSERS = {"layer": _parse_layer, "seconds": float, "max_seconds": float,
+                "times": int, "nth": int, "worker": int}
+
+
 def injector_from_spec(spec: str):
     """Build a fault injector from a comma-separated text spec.
 
-    Forms (``LAYER`` is a job index or a layer name)::
+    Forms (``LAYER`` is a job index or a layer name, ``W`` a fleet worker
+    id, ``MODEL`` a registered model name; ``TIMES=0`` means every call)::
 
-        raise:LAYER               RaiseOnLayer
-        hang:LAYER                HangOnLayer
-        slow:SECONDS[:LAYER]      SlowLayer
-        transient-io:LAYER[:N]    TransientIOFault (default N=1)
-        crash:NTH                 CrashOnCall
-        poison:LAYER[:MODE]       PoisonTensor
-        kill-worker:W[:NTH]       KillWorker (fleet worker W, default NTH=1)
-        mute-worker:W[:MAXS]      MuteWorker (fleet worker W)
-        hang-worker:W[:MAXS]      HangWorker (fleet worker W)
+        raise:LAYER                            RaiseOnLayer
+        hang:LAYER                             HangOnLayer
+        slow:SECONDS[:LAYER]                   SlowLayer
+        transient-io:LAYER[:TIMES]             TransientIOFault
+        crash:NTH                              CrashOnCall
+        poison:LAYER[:MODE]                    PoisonTensor
+        kill-worker:W[:NTH]                    KillWorker
+        mute-worker:W[:MAX_SECONDS]            MuteWorker
+        hang-worker:W[:MAX_SECONDS]            HangWorker
+        hang-forward:MODEL[:SECONDS[:TIMES]]   HangForward
+        fail-forward:MODEL[:TIMES]             FailForward
+        corrupt-member-at-serve:MODEL[:TIMES]  CorruptMemberAtServe
+        slow-load:SECONDS[:MODEL]              SlowLoad
 
-    Returns None for an empty spec.  Raises ``ValueError`` on anything it
-    cannot parse — a silently ignored fault spec would make a kill test
-    pass vacuously.
+    Returns None for an empty spec, the injector for one part, and the
+    :func:`compose_injectors` chain for several.  Raises ``ValueError`` on
+    any part it cannot parse or that could never fire — a silently ignored
+    fault spec would make a chaos test pass vacuously.
     """
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
     injectors = []
-    for part in parts:
+    for part in filter(None, (p.strip() for p in spec.split(","))):
         kind, _, rest = part.partition(":")
-        args = rest.split(":") if rest else []
         try:
-            if kind == "raise":
-                (layer,) = args
-                injectors.append(RaiseOnLayer(_parse_layer(layer)))
-            elif kind == "hang":
-                (layer,) = args
-                injectors.append(HangOnLayer(_parse_layer(layer)))
-            elif kind == "slow":
-                seconds = float(args[0])
-                layer = _parse_layer(args[1]) if len(args) > 1 else None
-                injectors.append(SlowLayer(seconds, layer=layer))
-            elif kind == "transient-io":
-                layer = _parse_layer(args[0])
-                times = int(args[1]) if len(args) > 1 else 1
-                injectors.append(TransientIOFault(layer, times=times))
-            elif kind == "crash":
-                (nth,) = args
-                injectors.append(CrashOnCall(int(nth)))
-            elif kind == "poison":
-                layer = _parse_layer(args[0])
-                mode = args[1] if len(args) > 1 else "nan"
-                injectors.append(PoisonTensor(layer, mode=mode))
-            elif kind == "kill-worker":
-                worker = int(args[0])
-                nth = int(args[1]) if len(args) > 1 else 1
-                injectors.append(KillWorker(worker, nth=nth))
-            elif kind == "mute-worker":
-                worker = int(args[0])
-                max_seconds = float(args[1]) if len(args) > 1 else 30.0
-                injectors.append(MuteWorker(worker, max_seconds=max_seconds))
-            elif kind == "hang-worker":
-                worker = int(args[0])
-                max_seconds = float(args[1]) if len(args) > 1 else 30.0
-                injectors.append(HangWorker(worker, max_seconds=max_seconds))
-            elif kind in SERVE_FAULT_KINDS:
-                continue  # a serve-path fault riding in the same variable
-            else:
+            if kind not in _SPEC_KINDS:
                 raise ValueError(f"unknown fault kind {kind!r}")
-        except (IndexError, ValueError) as exc:
+            cls, names = _SPEC_KINDS[kind]
+            args = rest.split(":") if rest else []
+            if not 1 <= len(args) <= len(names) or "" in args:
+                usage = names[0] + "".join(f"[:{n}" for n in names[1:])
+                raise ValueError(
+                    f"expected {kind}:{usage.upper()}{']' * (len(names) - 1)}"
+                )
+            injectors.append(cls(**{
+                name: _ARG_PARSERS.get(name, str)(arg) for name, arg in zip(names, args)
+            }))
+        except ValueError as exc:
             raise ValueError(f"bad fault spec {part!r}: {exc}") from exc
     if not injectors:
         return None
@@ -673,26 +587,10 @@ def injector_from_env(env: str = FAULTS_ENV):
     """Injector described by the ``REPRO_FAULTS`` environment variable.
 
     Returns None when unset/empty — the universal production case; the
-    variable exists so kill-and-resume tests can plant faults inside a CLI
-    subprocess without test-only flags.
+    variable exists so chaos tests can plant faults inside a CLI subprocess
+    without test-only flags.
     """
-    spec = os.environ.get(env, "")
-    return injector_from_spec(spec) if spec.strip() else None
-
-
-def compose_injectors(*injectors):
-    """Chain injectors: each may raise; the first replacement array wins
-    as input to the injectors after it."""
-
-    def injector(index: int, job: LayerJob, weights: np.ndarray):
-        replaced = None
-        for inject in injectors:
-            outcome = inject(index, job, replaced if replaced is not None else weights)
-            if outcome is not None:
-                replaced = outcome
-        return replaced
-
-    return injector
+    return injector_from_spec(os.environ.get(env, ""))
 
 
 def truncate_file(path: str | Path, keep: int | float) -> int:

@@ -1,5 +1,7 @@
 """Fault-injection tests: every failure policy, end-to-end, any worker count."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.serialization import load_quantized_model, save_quantized_model
 from repro.core.settings import ON_ERROR_POLICIES, EngineSettings
 from repro.errors import QuantizationError
 from repro.models.heads import BertForSequenceClassification
+from repro.testing import faults as F
 from repro.testing.faults import (
     InjectedFault,
     PoisonTensor,
@@ -256,68 +259,127 @@ class TestEndToEndModel:
         assert len(quantized.report.failures) == 1
 
 
+#: Every spec kind with the injector and init fields it must build.  The
+#: grammar is a compatibility contract: these are the values the separate
+#: engine and serve parsers built before they were merged.  The last five
+#: entries are the REPRO_FAULTS strings the CI chaos jobs use.
+SPEC_TABLE = [
+    ("raise:layer0", [(F.RaiseOnLayer, {"layer": "layer0", "message": "injected fault"})]),
+    ("raise:2", [(F.RaiseOnLayer, {"layer": 2, "message": "injected fault"})]),
+    ("hang:emb.word", [(F.HangOnLayer, {"layer": "emb.word", "max_seconds": 30.0})]),
+    ("slow:0.25", [(F.SlowLayer, {"seconds": 0.25, "layer": None})]),
+    ("slow:0.1:3", [(F.SlowLayer, {"seconds": 0.1, "layer": 3})]),
+    ("transient-io:layer1:2", [(F.TransientIOFault, {"layer": "layer1", "times": 2})]),
+    ("transient-io:0", [(F.TransientIOFault, {"layer": 0, "times": 1})]),
+    ("crash:4", [(F.CrashOnCall, {"nth": 4})]),
+    ("poison:layer2:inf", [(F.PoisonTensor, {
+        "layer": "layer2", "mode": "inf", "stride": 7, "value": 0.5})]),
+    ("poison:3", [(F.PoisonTensor, {"layer": 3, "mode": "nan", "stride": 7, "value": 0.5})]),
+    ("kill-worker:1:3", [(F.KillWorker, {"worker": 1, "nth": 3})]),
+    ("mute-worker:2:5.5", [(F.MuteWorker, {"worker": 2, "max_seconds": 5.5})]),
+    ("mute-worker:1", [(F.MuteWorker, {"worker": 1, "max_seconds": 30.0})]),
+    ("hang-worker:3:2", [(F.HangWorker, {"worker": 3, "max_seconds": 2.0})]),
+    ("hang-worker:0", [(F.HangWorker, {"worker": 0, "max_seconds": 30.0})]),
+    ("hang-forward:alpha:2.5:3", [(F.HangForward, {"model": "alpha", "seconds": 2.5, "times": 3})]),
+    ("hang-forward:x", [(F.HangForward, {"model": "x", "seconds": 30.0, "times": 1})]),
+    ("fail-forward:beta:0", [(F.FailForward, {"model": "beta", "times": 0})]),
+    ("fail-forward:m", [(F.FailForward, {"model": "m", "times": 1})]),
+    ("corrupt-member-at-serve:gamma", [(F.CorruptMemberAtServe, {"model": "gamma", "times": 1})]),
+    ("corrupt-member-at-serve:a:0", [(F.CorruptMemberAtServe, {"model": "a", "times": 0})]),
+    ("slow-load:0.5:delta", [(F.SlowLoad, {"seconds": 0.5, "model": "delta"})]),
+    ("slow-load:0.01", [(F.SlowLoad, {"seconds": 0.01, "model": None})]),
+    ("crash:8", [(F.CrashOnCall, {"nth": 8})]),
+    ("slow:0.15", [(F.SlowLayer, {"seconds": 0.15, "layer": None})]),
+    ("kill-worker:0", [(F.KillWorker, {"worker": 0, "nth": 1})]),
+    ("slow:0.3", [(F.SlowLayer, {"seconds": 0.3, "layer": None})]),
+    ("corrupt-member-at-serve:alpha,hang-forward:beta:5", [
+        (F.CorruptMemberAtServe, {"model": "alpha", "times": 1}),
+        (F.HangForward, {"model": "beta", "seconds": 5.0, "times": 1}),
+    ]),
+]
+
+
+def init_fields(injector) -> dict:
+    return {f.name: getattr(injector, f.name) for f in dataclasses.fields(injector) if f.init}
+
+
 class TestFaultSpecs:
     """Text fault specs (REPRO_FAULTS) build the right injectors."""
 
     def test_empty_spec_is_none(self):
-        from repro.testing.faults import injector_from_env, injector_from_spec
+        assert F.injector_from_spec("") is None
+        assert F.injector_from_spec("  ,  ") is None
+        assert F.injector_from_env("REPRO_FAULTS_UNSET_FOR_TEST") is None
 
-        assert injector_from_spec("") is None
-        assert injector_from_spec("  ,  ") is None
-        assert injector_from_env("REPRO_FAULTS_UNSET_FOR_TEST") is None
+    @pytest.mark.parametrize("spec, expected", SPEC_TABLE, ids=[s for s, _ in SPEC_TABLE])
+    def test_spec_builds(self, spec, expected):
+        built = F.injector_from_spec(spec)
+        parts = built.injectors if len(expected) > 1 else (built,)
+        assert [(type(part), init_fields(part)) for part in parts] == expected
 
-    def test_single_specs(self):
-        from repro.testing.faults import (
-            CrashOnCall,
-            HangOnLayer,
-            PoisonTensor,
-            RaiseOnLayer,
-            SlowLayer,
-            TransientIOFault,
-            injector_from_spec,
-        )
-
-        assert isinstance(injector_from_spec("raise:layer0"), RaiseOnLayer)
-        assert injector_from_spec("raise:2").layer == 2
-        hang = injector_from_spec("hang:emb.word")
-        assert isinstance(hang, HangOnLayer) and hang.layer == "emb.word"
-        slow = injector_from_spec("slow:0.25")
-        assert isinstance(slow, SlowLayer)
-        assert slow.seconds == 0.25 and slow.layer is None
-        assert injector_from_spec("slow:0.1:3").layer == 3
-        tio = injector_from_spec("transient-io:layer1:2")
-        assert isinstance(tio, TransientIOFault)
-        assert tio.layer == "layer1" and tio.times == 2
-        assert injector_from_spec("transient-io:0").times == 1
-        crash = injector_from_spec("crash:4")
-        assert isinstance(crash, CrashOnCall) and crash.nth == 4
-        poison = injector_from_spec("poison:layer2:inf")
-        assert isinstance(poison, PoisonTensor) and poison.mode == "inf"
+    def test_every_kind_in_table(self):
+        kinds = {part.split(":")[0] for spec, _ in SPEC_TABLE for part in spec.split(",")}
+        assert len(kinds) == 13
 
     def test_composed_spec(self):
-        import numpy as np
-
-        from repro.core.parallel import LayerJob
-        from repro.testing.faults import InjectedIOError, injector_from_spec
-
-        injector = injector_from_spec("transient-io:a:1, poison:b:constant")
+        injector = F.injector_from_spec("transient-io:a:1, poison:b:constant")
         weights = np.ones((4, 4))
-        with pytest.raises(InjectedIOError):
-            injector(0, LayerJob("a", 3), weights)
-        poisoned = injector(1, LayerJob("b", 3), weights)
+        with pytest.raises(F.InjectedIOError):
+            injector("layer", index=0, job=LayerJob("a", 3), weights=weights)
+        poisoned = injector("layer", index=1, job=LayerJob("b", 3), weights=weights)
         assert poisoned is not None and np.all(poisoned == 0.5)
-        assert injector(2, LayerJob("c", 3), weights) is None
+        assert injector("layer", index=2, job=LayerJob("c", 3), weights=weights) is None
+
+    def test_replacement_passes_down_the_chain(self):
+        seen = []
+        injector = F.compose_injectors(
+            F.PoisonTensor("a", mode="constant"),
+            lambda site, **ctx: seen.append(ctx["weights"]),
+        )
+        poisoned = injector("layer", index=0, job=LayerJob("a", 3), weights=np.ones(3))
+        assert seen[0] is poisoned
+
+    def test_mixed_spec_acts_per_site(self):
+        """One injector raises at "layer" and at "forward" and does nothing
+        at "load"."""
+        injector = F.injector_from_spec("raise:a,fail-forward:alpha:0")
+        with pytest.raises(F.InjectedFault, match="layer 'a'"):
+            injector("layer", index=0, job=LayerJob("a", 3), weights=np.ones(3))
+        with pytest.raises(F.InjectedFault, match="forward failure"):
+            injector("forward", model="alpha")
+        assert injector("load", model="alpha") is None
 
     def test_bad_specs_rejected(self):
-        from repro.testing.faults import injector_from_spec
+        for bad in (
+            "explode:1", "crash", "crash:soon", "slow", "hang", "raise:a:b",
+            "crash:abc,raise:", "fail-forward:,slow-load:x", "fail-forward::3",
+        ):
+            with pytest.raises(ValueError, match="bad fault spec"):
+                F.injector_from_spec(bad)
 
-        for bad in ("explode:1", "crash", "crash:soon", "slow", "hang"):
+    @pytest.mark.parametrize("spec", [
+        "crash:0", "kill-worker:1:0", "hang-forward:m:1:-1", "fail-forward:m:-1",
+        "corrupt-member-at-serve:m:-2", "transient-io:a:0", "slow:-0.5",
+        "slow-load:-1", "mute-worker:-1", "poison:1:bogus",
+    ])
+    def test_never_firing_specs_rejected(self, spec):
+        with pytest.raises(ValueError, match="bad fault spec"):
+            F.injector_from_spec(spec)
+
+    def test_never_firing_injectors_rejected_at_construction(self):
+        """The checks live in __post_init__, so direct construction fails too."""
+        for build in (
+            lambda: F.CrashOnCall(0),
+            lambda: F.KillWorker(0, nth=0),
+            lambda: F.HangForward("m", times=-1),
+            lambda: F.SlowLayer(-1.0),
+            lambda: F.PoisonTensor(0, mode="bogus"),
+            lambda: F.PoisonTensor(0, stride=0),
+        ):
             with pytest.raises(ValueError):
-                injector_from_spec(bad)
+                build()
 
     def test_env_spec_errors_surface(self, monkeypatch):
-        from repro.testing.faults import FAULTS_ENV, injector_from_env
-
-        monkeypatch.setenv(FAULTS_ENV, "bogus:x")
+        monkeypatch.setenv(F.FAULTS_ENV, "bogus:x")
         with pytest.raises(ValueError):
-            injector_from_env()
+            F.injector_from_env()

@@ -16,59 +16,49 @@ from repro.testing.faults import (
     HangForward,
     InjectedFault,
     SlowLoad,
+    injector_from_env,
     injector_from_spec,
-    serve_injector_from_env,
-    serve_injector_from_spec,
 )
 from tests.conftest import MICRO_CONFIG
 
 
 class TestSpecParsing:
-    def test_each_kind_parses(self):
-        injector = serve_injector_from_spec("hang-forward:alpha:2.5:3")
-        assert isinstance(injector, HangForward)
-        assert (injector.model, injector.seconds, injector.times) == ("alpha", 2.5, 3)
-        injector = serve_injector_from_spec("fail-forward:beta:0")
-        assert isinstance(injector, FailForward)
-        assert (injector.model, injector.times) == ("beta", 0)
-        injector = serve_injector_from_spec("corrupt-member-at-serve:gamma")
-        assert isinstance(injector, CorruptMemberAtServe)
-        assert (injector.model, injector.times) == ("gamma", 1)
-        injector = serve_injector_from_spec("slow-load:0.5:delta")
-        assert isinstance(injector, SlowLoad)
-        assert (injector.seconds, injector.model) == (0.5, "delta")
-
     def test_engine_kinds_are_skipped(self):
-        """One REPRO_FAULTS value carries both families; each parser takes
-        only its own kinds."""
-        spec = "crash:3,hang-forward:alpha:1:1,kill-worker:1"
-        serve = serve_injector_from_spec(spec)
-        assert isinstance(serve, HangForward)
-        engine = injector_from_spec("hang-forward:alpha:1:1,slow:0.1")
-        assert engine is not None and not isinstance(engine, HangForward)
+        """One REPRO_FAULTS value carries both families; engine kinds are
+        inert at the serve sites."""
+        spec = "raise:0,slow:5,hang-forward:alpha:5:1,kill-worker:1"
+        injector = injector_from_spec(spec)
+        started = time.monotonic()
+        assert injector("forward", model="beta") is None
+        assert injector("load", model="alpha") is None
+        assert time.monotonic() - started < 1.0
 
     def test_engine_only_spec_yields_none(self):
-        assert serve_injector_from_spec("crash:3,slow:0.1") is None
+        injector = injector_from_spec("raise:0,slow:5")
+        started = time.monotonic()
+        assert injector("forward", model="alpha") is None
+        assert injector("load", model="alpha") is None
+        assert time.monotonic() - started < 1.0
 
     def test_unknown_kind_raises_in_both_parsers(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            serve_injector_from_spec("melt-cpu:1")
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            injector_from_spec("melt-cpu:1")
+        """One parser checks every part, whichever path the process serves."""
+        for spec in ("melt-cpu:1", "fail-forward:alpha,melt-cpu:1", "crash:2,melt-cpu:1"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                injector_from_spec(spec)
 
     def test_composition_first_raise_wins(self):
-        injector = serve_injector_from_spec(
+        injector = injector_from_spec(
             "fail-forward:alpha:1,slow-load:0.01")
         with pytest.raises(InjectedFault):
-            injector("forward", "alpha")
-        injector("forward", "alpha")  # times=1: cleared
-        injector("load", "alpha")  # only the slow-load applies
+            injector("forward", model="alpha")
+        injector("forward", model="alpha")  # times=1: cleared
+        injector("load", model="alpha")  # only the slow-load applies
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV, raising=False)
-        assert serve_injector_from_env() is None
+        assert injector_from_env() is None
         monkeypatch.setenv(FAULTS_ENV, "fail-forward:alpha:2")
-        injector = serve_injector_from_env()
+        injector = injector_from_env()
         assert isinstance(injector, FailForward)
 
 
@@ -77,29 +67,38 @@ class TestInjectorBehavior:
         injector = FailForward("alpha", times=2)
         for _ in range(2):
             with pytest.raises(InjectedFault):
-                injector("forward", "alpha")
-        injector("forward", "alpha")  # cleared
-        injector("forward", "beta")  # other models never matched
+                injector("forward", model="alpha")
+        injector("forward", model="alpha")  # cleared
+        injector("forward", model="beta")  # other models never matched
 
     def test_fail_forward_persistent(self):
         injector = FailForward(times=0)  # any model, forever
         for _ in range(5):
             with pytest.raises(InjectedFault):
-                injector("forward", "anything")
+                injector("forward", model="anything")
 
     def test_corrupt_member_raises_integrity_type(self):
         injector = CorruptMemberAtServe("alpha")
         with pytest.raises(ChecksumMismatchError, match="CRC"):
-            injector("forward", "alpha")
-        injector("forward", "alpha")  # times=1: cleared
-        injector("load", "alpha")  # wrong stage: inert
+            injector("forward", model="alpha")
+        injector("forward", model="alpha")  # times=1: cleared
+        injector("load", model="alpha")  # wrong site: inert
 
     def test_hang_forward_ignores_load_stage(self):
         injector = HangForward("alpha", seconds=5.0, times=1)
         started = time.monotonic()
-        injector("load", "alpha")
-        injector("forward", "beta")
+        injector("load", model="alpha")
+        injector("forward", model="beta")
         assert time.monotonic() - started < 1.0
+
+    def test_hang_forward_times_zero_is_every_call(self):
+        """times=0 means every call for all three forward kinds,
+        hang-forward included."""
+        injector = HangForward("alpha", seconds=0.05, times=0)
+        started = time.monotonic()
+        for _ in range(3):
+            injector("forward", model="alpha")
+        assert time.monotonic() - started >= 0.15
 
 
 @pytest.fixture

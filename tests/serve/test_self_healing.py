@@ -100,9 +100,9 @@ class TestCorruptArchiveSelfHealing:
         corrupt_fault = CorruptMemberAtServe("micro", times=1)
         armed = threading.Event()
 
-        def fault(stage: str, model: str) -> None:
+        def fault(site: str, **ctx) -> None:
             if armed.is_set():
-                corrupt_fault(stage, model)
+                corrupt_fault(site, **ctx)
 
         registry = ModelRegistry(verify="lazy")
         registry.register("micro", swap_archive, config=MICRO_CONFIG)

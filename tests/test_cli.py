@@ -290,6 +290,10 @@ class TestDurableJobFlags:
             build_parser().parse_args(["jobs"])
 
 
+#: Malformed REPRO_FAULTS values; the last two mix engine and serve kinds.
+BAD_FAULT_SPECS = ("explode:now", "crash:abc,raise:", "fail-forward:,slow-load:x")
+
+
 class TestDurableJobCommands:
     def test_quantize_durable_then_status_then_resume(
         self, capsys, tmp_path, monkeypatch
@@ -340,9 +344,23 @@ class TestDurableJobCommands:
         assert capsys.readouterr().err
 
     def test_bad_faults_spec_is_a_clean_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "explode:now")
-        assert main(["quantize", "--embedding-bits", "none"]) == 2
-        assert "fault" in capsys.readouterr().err
+        # One parser checks every part: serve-kind typos fail quantize too.
+        for spec in BAD_FAULT_SPECS:
+            monkeypatch.setenv("REPRO_FAULTS", spec)
+            assert main(["quantize", "--embedding-bits", "none"]) == 2, spec
+            assert "fault" in capsys.readouterr().err, spec
+
+    def test_bad_faults_spec_is_a_clean_error_for_serve(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # The archive does not exist: exit 2 naming the fault proves the
+        # spec is rejected before any model loads.
+        missing = f"a={tmp_path / 'missing.npz'}"
+        for spec in BAD_FAULT_SPECS:
+            monkeypatch.setenv("REPRO_FAULTS", spec)
+            assert main(["serve", "--model", missing]) == 2, spec
+            err = capsys.readouterr().err
+            assert "fault" in err and "missing.npz" not in err, spec
 
 
 class TestVerifyArchiveMultiple:
