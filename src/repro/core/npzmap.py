@@ -93,26 +93,29 @@ class MmapNpzReader:
         return key in self._members
 
     def read(self, key: str) -> np.ndarray:
-        """The array stored under ``key`` (zero-copy when ZIP_STORED)."""
+        """The array stored under ``key`` (zero-copy when ZIP_STORED).
+
+        A member whose bytes fail to decode raises
+        :class:`~repro.errors.ChecksumMismatchError`, as a failed CRC does.
+        """
         info = self._members.get(key)
         if info is None:
             raise KeyError(key)
-        if info.compress_type == zipfile.ZIP_STORED:
-            data = self._member_data(info)
-            if self.verify and key not in self._verified:
-                self._verify_member(info, data)
-                self._verified.add(key)
-            array = self._parse_npy(info, data)
-        else:
-            # Compressed member: no contiguous bytes to map; decode eagerly.
-            # zipfile checks the member CRC itself on this path.
-            try:
-                raw = self._zip.read(info.filename)
-            except zipfile.BadZipFile as exc:
-                raise ChecksumMismatchError(
-                    f"archive {self.path} member {info.filename!r} is corrupt ({exc})"
-                ) from exc
-            array = np.load(BytesIO(raw))
+        try:
+            if info.compress_type == zipfile.ZIP_STORED:
+                data = self._member_data(info)
+                if self.verify and key not in self._verified:
+                    self._verify_member(info, data)
+                    self._verified.add(key)
+                array = self._parse_npy(info, data)
+            else:
+                # Compressed member: no contiguous bytes to map; decode
+                # eagerly.  zipfile checks the member CRC itself on this path.
+                array = np.load(BytesIO(self._zip.read(info.filename)))
+        except (ValueError, zipfile.BadZipFile, zlib.error) as exc:
+            raise ChecksumMismatchError(
+                f"archive {self.path} member {info.filename!r} is corrupt ({exc})"
+            ) from exc
         obs.counter("npzmap.members_read")
         obs.counter("npzmap.bytes_mapped", int(array.nbytes))
         return array
@@ -132,8 +135,17 @@ class MmapNpzReader:
                 f"archive {self.path}: bad local header for {info.filename!r}"
             )
         fields = _LOCAL_HEADER.unpack(header)
-        name_len, extra_len = fields[9], fields[10]
-        data_start = start + _LOCAL_HEADER.size + name_len + extra_len
+        flags, name_len, extra_len = fields[2], fields[9], fields[10]
+        name_start = start + _LOCAL_HEADER.size
+        name = bytes(self._mmap[name_start : name_start + name_len])
+        # The same check zipfile makes on its own decode path: a local header
+        # naming another member than the central directory is corrupt.
+        if name.decode("utf-8" if flags & 0x800 else "cp437", "replace") != info.orig_filename:
+            raise ChecksumMismatchError(
+                f"archive {self.path}: local header names {name!r}, "
+                f"central directory {info.orig_filename!r}"
+            )
+        data_start = name_start + name_len + extra_len
         data = memoryview(self._mmap)[data_start : data_start + info.file_size]
         if len(data) < info.file_size:
             raise TruncatedArchiveError(

@@ -17,8 +17,8 @@ Pass-through FP32 parameters are stored under ``fp32::<name>`` as float32
 (the paper's decode target precision; note the in-memory substrate computes
 in float64).  The ``index::fc`` / ``index::embeddings`` name lists are
 fixed-width unicode arrays and ``index::version`` tags the layout, so the
-archive contains **no object arrays**: it loads with numpy's default
-``allow_pickle=False`` and is safe to read from untrusted sources.
+archive contains **no object arrays**: the reader refuses them, so it is
+safe to read from untrusted sources.
 
 Guarantees:
 
@@ -34,6 +34,9 @@ Guarantees:
   rot.  :func:`verify_archive` classifies an archive as intact / missing /
   truncated / checksum-mismatched / version-unknown without constructing a
   model.
+* **One reader.** Every load and check goes through
+  :class:`~repro.core.npzmap.MmapNpzReader` and :func:`read_verified`, so
+  eager loads, lazy loads and :func:`verify_archive` cannot drift apart.
 * The clustering iteration counts (``QuantizedModel.iterations``) survive
   the round-trip, so per-layer reports can be regenerated after a reload.
 * Version-1 archives (no iteration counts in ``meta``) and version-2
@@ -44,9 +47,8 @@ Guarantees:
 from __future__ import annotations
 
 import hashlib
-import zipfile
 from collections.abc import Mapping as MappingABC
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -123,55 +125,30 @@ def save_quantized_model(model: QuantizedModel, path: str | Path) -> int:
     return size
 
 
-def _read_archive(path: Path) -> dict[str, np.ndarray]:
-    """Eagerly read every array of the archive at ``path``.
+def read_verified(reader: MmapNpzReader) -> dict[str, np.ndarray]:
+    """Read every member of ``reader`` and check ``index::checksum``.
 
-    Distinguishes a container that cannot be opened (missing / truncated /
-    not a zip → :class:`TruncatedArchiveError`) from one that opens but
-    whose members fail to decode (zip-CRC failure on a flipped bit →
-    :class:`ChecksumMismatchError`).
+    The one content check of every checksummed archive, model archives and
+    job shards alike.  Raises :class:`~repro.errors.ChecksumMismatchError`
+    when the checksum member is absent or does not match; a verifying
+    reader also checks each member's zip CRC-32 as it is read.
     """
-    if not path.exists():
-        raise SerializationError(f"no such archive: {path}")
-    try:
-        archive = np.load(path)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise TruncatedArchiveError(
-            f"cannot read archive {path}: not a valid npz container ({exc})"
-        ) from exc
-    with archive:
-        try:
-            return {key: archive[key] for key in archive.files}
-        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
-            raise ChecksumMismatchError(
-                f"archive {path} is corrupt: a stored array failed to decode ({exc})"
-            ) from exc
-
-
-def _archive_version(arrays: Mapping[str, np.ndarray], path: Path) -> int:
-    version = 1
-    if "index::version" in arrays:
-        version = int(arrays["index::version"][0])
-    if not 1 <= version <= FORMAT_VERSION:
-        raise SerializationError(
-            f"archive {path} has format version {version}; "
-            f"this reader supports 1..{FORMAT_VERSION}"
-        )
-    return version
-
-
-def _verify_checksum(arrays: Mapping[str, np.ndarray], path: Path) -> None:
+    arrays = {key: reader.read(key) for key in reader.keys()}
     if CHECKSUM_KEY not in arrays:
-        raise ChecksumMismatchError(
-            f"archive {path} declares format version >= 3 but carries no checksum"
-        )
+        raise ChecksumMismatchError(f"archive {reader.path} carries no checksum")
     recorded = bytes(np.asarray(arrays[CHECKSUM_KEY], dtype=np.uint8).tobytes())
     actual = payload_checksum(arrays)
     if recorded != actual:
         raise ChecksumMismatchError(
-            f"archive {path} failed checksum verification: "
+            f"archive {reader.path} failed checksum verification: "
             f"recorded {recorded.hex()[:16]}…, computed {actual.hex()[:16]}…"
         )
+    return arrays
+
+
+def _archive_version(reader: MmapNpzReader) -> int:
+    """The archive's ``index::version``; version-1 archives carry none."""
+    return int(reader.read("index::version")[0]) if "index::version" in reader else 1
 
 
 def _parse_meta(meta: np.ndarray, version: int) -> tuple[int, int, tuple[int, ...]]:
@@ -238,56 +215,46 @@ class LazyQuantizedTensors(MappingABC):
         self._reader.close()
 
 
-def _load_lazy(path: Path, verify: str) -> QuantizedModel:
-    """The ``lazy=True`` body of :func:`load_quantized_model`."""
-    reader = MmapNpzReader(path, verify=(verify == "lazy"))
-    obs.counter("serialization.archives_read_lazy")
-    keys = set(reader.keys())
-    version = 1
-    if "index::version" in keys:
-        version = int(reader.read("index::version")[0])
-    if not 1 <= version <= FORMAT_VERSION:
-        raise SerializationError(
-            f"archive {path} has format version {version}; "
-            f"this reader supports 1..{FORMAT_VERSION}"
-        )
-    if verify == "full":
-        # Every byte is read and digested before anything is served — the
-        # eager guarantee at the eager cost, but codes still stay views.
-        arrays = {key: reader.read(key) for key in keys}
-        if version >= 3:
-            _verify_checksum(arrays, path)
-    # With verify="none" the version-3 content checksum is NOT verified —
-    # verifying would read every byte of the archive, which is exactly what
-    # lazy loading exists to avoid — and zip per-member CRCs are likewise
-    # bypassed by the mmap views.  verify="lazy" (the serving default)
-    # closes that gap per member: each member's bytes are CRC-checked on
-    # first access, so bit rot surfaces as ChecksumMismatchError at the
-    # first touch instead of as silently wrong logits.
-    names = {
-        key.split("::", 2)[1]
-        for key in keys
-        if key.startswith("gobo::") and key.endswith("::meta")
-    }
-    metas = {name: np.asarray(reader.read(f"gobo::{name}::meta")) for name in names}
-    iterations = {}
-    for name, meta in metas.items():
-        _, layer_iterations, _ = _parse_meta(meta, version)
-        if layer_iterations > 0:
-            iterations[name] = layer_iterations
-    # Pass-through FP32 params (biases, LayerNorm, fallback layers) are
-    # copied eagerly: they are needed in full by any load target, and they
-    # are the small remainder once the weights are bit-packed.
-    fp32 = {
-        key[len("fp32::"):]: reader.read(key).astype(np.float64)
-        for key in keys
-        if key.startswith("fp32::")
-    }
+def _map_model(path: Path, verify: str) -> QuantizedModel:
+    """Map the archive at ``path`` as a model whose tensors decode lazily."""
+    reader = MmapNpzReader(path, verify=(verify != "none"))
+    obs.counter("serialization.archives_read")
     try:
-        fc_names = tuple(str(n) for n in reader.read("index::fc"))
-        embedding_names = tuple(str(n) for n in reader.read("index::embeddings"))
-    except KeyError as exc:
-        raise SerializationError(f"archive missing index: {exc}") from exc
+        version = _archive_version(reader)
+        if not 1 <= version <= FORMAT_VERSION:
+            raise SerializationError(
+                f"archive {path} has format version {version}; "
+                f"this reader supports 1..{FORMAT_VERSION}"
+            )
+        if verify == "full" and version >= 3:
+            read_verified(reader)
+        keys = reader.keys()
+        metas = {
+            key.split("::", 2)[1]: reader.read(key)
+            for key in keys
+            if key.startswith("gobo::") and key.endswith("::meta")
+        }
+        iterations = {}
+        for name, meta in metas.items():
+            _, layer_iterations, _ = _parse_meta(meta, version)
+            if layer_iterations > 0:
+                iterations[name] = layer_iterations
+        # Pass-through FP32 params (biases, LayerNorm, fallback layers) are
+        # copied eagerly: any load target needs them in full, and they are
+        # the small remainder once the weights are bit-packed.
+        fp32 = {
+            key[len("fp32::"):]: reader.read(key).astype(np.float64)
+            for key in keys
+            if key.startswith("fp32::")
+        }
+        try:
+            fc_names = tuple(str(n) for n in reader.read("index::fc"))
+            embedding_names = tuple(str(n) for n in reader.read("index::embeddings"))
+        except KeyError as exc:
+            raise SerializationError(f"archive missing index: {exc}") from exc
+    except BaseException:
+        reader.close()
+        raise
     return QuantizedModel(
         quantized=LazyQuantizedTensors(reader, metas, version),
         fp32=fp32,
@@ -302,30 +269,33 @@ def load_quantized_model(
 ) -> QuantizedModel:
     """Read a :class:`QuantizedModel` written by :func:`save_quantized_model`.
 
-    Archives are loaded with ``allow_pickle=False`` (the format stores no
-    object arrays), version-3 archives are checksum-verified before any
-    tensor is reconstructed, and the per-layer iteration counts recorded at
-    quantization time are restored.
+    The archive is memory-mapped (:class:`~repro.core.npzmap.MmapNpzReader`,
+    which refuses object arrays) and the per-layer iteration counts
+    recorded at quantization time are restored.  An eager load decodes
+    every tensor, copies its codes into bytes it owns and closes the map.
 
-    With ``lazy=True`` the archive is memory-mapped instead of read:
-    indexes and per-layer metadata load eagerly (a few hundred bytes), but
-    each quantized tensor is constructed on first access with its packed
-    codes left as zero-copy views into the map (see
-    :class:`LazyQuantizedTensors` and :class:`~repro.core.npzmap.
-    MmapNpzReader`).  Feeding these tensors to :mod:`repro.kernels` serves
-    inference with bytes-touched proportional to the layers used.
+    With ``lazy=True`` the map stays open: indexes and per-layer metadata
+    load eagerly (a few hundred bytes), but each quantized tensor is
+    constructed on first access with its packed codes left as zero-copy
+    views into the map (see :class:`LazyQuantizedTensors`).  Feeding these
+    tensors to :mod:`repro.kernels` serves inference with bytes-touched
+    proportional to the layers used.
 
-    ``verify`` selects the integrity level:
+    ``verify`` selects the integrity level; every level checks structure
+    (local headers, member names and bounds, .npy headers):
 
-    * ``"full"`` — the whole-archive SHA-256 content checksum is verified
-      up front (reads every byte).  Default for eager loads.
+    * ``"full"`` — as ``"lazy"``, and a version-3 archive's every member
+      is read and its whole-archive SHA-256 content checksum verified up
+      front (reads every byte).  Default for eager loads.
     * ``"lazy"`` — each member's bytes are checked against the zip CRC-32
       on first access, so a lazy load stays proportional to the layers
       touched but bit rot still raises
       :class:`~repro.errors.ChecksumMismatchError` instead of producing
-      silently wrong logits.  Default for lazy loads.
-    * ``"none"`` — no verification.  Opt-in only: an unverified load can
-      serve silently wrong logits from a bit-rotted archive.
+      silently wrong logits.  Default for lazy loads; an eager load reads
+      every byte anyway, so for it ``"lazy"`` means ``"full"``.
+    * ``"none"`` — no content verification of a lazy load (an eager one
+      still CRC-checks every member it reads).  Opt-in only: an unverified
+      load can serve silently wrong logits from a bit-rotted archive.
     """
     path = Path(path)
     if verify is None:
@@ -333,54 +303,19 @@ def load_quantized_model(
     if verify not in ("none", "lazy", "full"):
         raise ValueError(f"verify must be 'none', 'lazy' or 'full', got {verify!r}")
     if lazy:
-        return _load_lazy(path, verify)
-    arrays = _read_archive(path)
-    obs.counter("serialization.archives_read")
-    obs.counter("serialization.bytes_read", path.stat().st_size)
-    version = _archive_version(arrays, path)
-    if version >= 3 and verify != "none":
-        # Everything is in memory already, so "lazy" degenerates to "full".
-        _verify_checksum(arrays, path)
-    names = {
-        key.split("::", 2)[1]
-        for key in arrays
-        if key.startswith("gobo::") and key.endswith("::meta")
-    }
-    quantized: dict[str, GoboQuantizedTensor] = {}
-    iterations: dict[str, int] = {}
-    for name in names:
-        try:
-            bits, layer_iterations, shape = _parse_meta(arrays[f"gobo::{name}::meta"], version)
-            tensor = GoboQuantizedTensor(
-                shape=shape,
-                bits=bits,
-                centroids=arrays[f"gobo::{name}::centroids"].astype(np.float64),
-                packed_codes=arrays[f"gobo::{name}::codes"].tobytes(),
-                outlier_positions=arrays[f"gobo::{name}::positions"].astype(np.int64),
-                outlier_values=arrays[f"gobo::{name}::outliers"].astype(np.float64),
-            )
-        except KeyError as exc:
-            raise SerializationError(f"archive missing field for {name}: {exc}") from exc
-        quantized[name] = tensor
-        if layer_iterations > 0:
-            iterations[name] = layer_iterations
-    fp32 = {
-        key[len("fp32::"):]: arrays[key].astype(np.float64)
-        for key in arrays
-        if key.startswith("fp32::")
-    }
+        return _map_model(path, verify)
+    # An eager load reads every member, so it CRC-checks each one even at
+    # "none"; "lazy" and "full" both add the content checksum.
+    model = _map_model(path, "lazy" if verify == "none" else "full")
+    tensors = model.quantized
     try:
-        fc_names = tuple(str(n) for n in arrays["index::fc"])
-        embedding_names = tuple(str(n) for n in arrays["index::embeddings"])
-    except KeyError as exc:
-        raise SerializationError(f"archive missing index: {exc}") from exc
-    return QuantizedModel(
-        quantized=quantized,
-        fp32=fp32,
-        fc_names=fc_names,
-        embedding_names=embedding_names,
-        iterations=iterations,
-    )
+        model.quantized = {
+            name: replace(tensor, packed_codes=tensor.packed_codes.tobytes())
+            for name, tensor in tensors.items()
+        }
+    finally:
+        tensors.close()
+    return model
 
 
 @dataclass(frozen=True)
@@ -408,32 +343,34 @@ def verify_archive(path: str | Path) -> ArchiveCheck:
 
     Distinguishes the four failure modes a durable store must tell apart:
     the file is absent, the container is truncated or not a zip at all, the
-    contents fail checksum verification (bit flips), or the format version
-    is newer than this reader.
+    contents fail verification (bit flips: member CRC, local-header name or
+    content checksum), or the format version is newer than this reader.
     """
     path = Path(path)
     if not path.exists():
         return ArchiveCheck(path, "missing", None, "file does not exist")
+    version = None
     try:
-        arrays = _read_archive(path)
+        with MmapNpzReader(path, verify=True) as reader:
+            version = _archive_version(reader)
+            if not 1 <= version <= FORMAT_VERSION:
+                return ArchiveCheck(
+                    path, "version-unknown", version,
+                    f"format version {version}; this reader supports 1..{FORMAT_VERSION}",
+                )
+            if version >= 3:
+                arrays = read_verified(reader)
+            else:
+                arrays = {key: reader.read(key) for key in reader.keys()}
     except TruncatedArchiveError as exc:
         return ArchiveCheck(path, "truncated", None, str(exc))
-    except ChecksumMismatchError as exc:
-        return ArchiveCheck(path, "checksum-mismatch", None, str(exc))
-    raw_version = int(arrays["index::version"][0]) if "index::version" in arrays else 1
-    try:
-        version = _archive_version(arrays, path)
     except SerializationError as exc:
-        return ArchiveCheck(path, "version-unknown", raw_version, str(exc))
+        return ArchiveCheck(path, "checksum-mismatch", version, str(exc))
     if version < 3:
         return ArchiveCheck(
             path, "ok-unchecksummed", version,
             f"readable legacy archive (format version {version} has no checksum)",
         )
-    try:
-        _verify_checksum(arrays, path)
-    except ChecksumMismatchError as exc:
-        return ArchiveCheck(path, "checksum-mismatch", version, str(exc))
     tensors = sum(1 for key in arrays if key.endswith("::meta"))
     return ArchiveCheck(
         path, "ok", version,

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import os
 import warnings
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.npzmap import MmapNpzReader
 from repro.errors import SerializationError
 from repro.obs import recorder as obs
 from repro.utils.atomic import atomic_savez
@@ -94,33 +94,22 @@ def load_state(key: str) -> tuple[dict[str, np.ndarray], dict[str, float]] | Non
     # nothing else, so hit-rate and read-volume metrics never include bytes
     # that were thrown away.
     try:
-        with np.load(path) as archive:
+        with MmapNpzReader(path, verify=True) as reader:
             state = {
-                name[len("param::"):]: archive[name]
-                for name in archive.files
+                name[len("param::"):]: np.array(reader.read(name))
+                for name in reader.keys()
                 if name.startswith("param::")
             }
             scores = {
-                name[len("score::"):]: float(archive[name])
-                for name in archive.files
+                name[len("score::"):]: float(reader.read(name))
+                for name in reader.keys()
                 if name.startswith("score::")
             }
         if not state:
             raise SerializationError("archive holds no parameters")
         size = path.stat().st_size
-    except (
-        OSError,
-        ValueError,
-        KeyError,
-        TypeError,
-        EOFError,
-        zipfile.BadZipFile,
-        SerializationError,
-    ) as exc:
-        reason = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-        if isinstance(exc, SerializationError):
-            reason = str(exc)
-        _discard_corrupt(path, reason)
+    except SerializationError as exc:
+        _discard_corrupt(path, str(exc))
         obs.counter("cache.corrupt_evict")
         return None
     obs.counter("cache.hit")

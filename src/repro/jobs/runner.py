@@ -51,9 +51,10 @@ from repro.core.parallel import (
     QuantizationReport,
     thread_engine,
 )
+from repro.core.npzmap import MmapNpzReader
 from repro.core.policy import LayerPolicy
 from repro.core.quantizer import GoboQuantizedTensor
-from repro.core.serialization import CHECKSUM_KEY, payload_checksum
+from repro.core.serialization import CHECKSUM_KEY, payload_checksum, read_verified
 from repro.core.settings import EngineSettings
 from repro.errors import ChecksumMismatchError, JobStateError, SerializationError
 from repro.jobs.journal import JobJournal, canonical_record, read_journal
@@ -115,17 +116,8 @@ def save_shard(
 
 def load_shard(path: Path) -> tuple[str, GoboQuantizedTensor, int]:
     """Load and checksum-verify one shard; returns (name, tensor, iterations)."""
-    try:
-        with np.load(path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-    except Exception as exc:  # noqa: BLE001 — any unreadable shard is corrupt
-        raise SerializationError(f"cannot read shard {path}: {exc}") from exc
-    if CHECKSUM_KEY not in arrays:
-        raise ChecksumMismatchError(f"shard {path} carries no checksum")
-    recorded = bytes(np.asarray(arrays[CHECKSUM_KEY], dtype=np.uint8).tobytes())
-    actual = payload_checksum(arrays)
-    if recorded != actual:
-        raise ChecksumMismatchError(f"shard {path} failed checksum verification")
+    with MmapNpzReader(path, verify=True) as reader:
+        arrays = read_verified(reader)
     meta = arrays["meta"]
     version, bits, iterations, shape = (
         int(meta[0]), int(meta[1]), int(meta[2]), tuple(int(d) for d in meta[3:]),

@@ -23,6 +23,7 @@ Hot-swap discipline (the part worth getting right):
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,6 +40,11 @@ from repro.models import (
 )
 from repro.models.quantized import attach_quantized_linears
 from repro.obs import recorder as obs
+
+try:  # glibc only; other C libraries leave freed heap pages to the allocator
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 @dataclass
@@ -163,11 +169,13 @@ def _build_entry(name: str, path: Path, config,
             # A failed build must not leak the archive reader the lazy load
             # just opened — close it before the error propagates (the entry
             # that would own it is never constructed).
-            closer = getattr(qmodel.quantized, "close", None)
-            if closer is not None:
-                closer()
+            qmodel.quantized.close()
             raise
         sp.set(config=config.name, layers=len(qmodel.fc_names))
+    # Return the freed random init of every replaced layer (~8 B per FC
+    # weight): left to the allocator, its residency depends on heap layout.
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     return ModelEntry(
         name=name,
         path=Path(path),

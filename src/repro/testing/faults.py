@@ -50,6 +50,7 @@ from any harness.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import threading
@@ -100,6 +101,8 @@ class Injector:
     """
 
     site: ClassVar[str]
+    #: Fields handed straight to ``time.sleep``, which overflows on ``inf``.
+    _finite: ClassVar[tuple[str, ...]] = ()
     _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
@@ -112,6 +115,10 @@ class Injector:
             if low is not None and not value >= low:
                 raise ValueError(
                     f"{type(self).__name__}.{spec.name} must be >= {low}, got {value!r}"
+                )
+            if spec.name in self._finite and not math.isfinite(value):
+                raise ValueError(
+                    f"{type(self).__name__}.{spec.name} must be finite, got {value!r}"
                 )
 
     def __call__(self, site: str, **ctx):
@@ -370,6 +377,7 @@ class MuteWorker(_OnWorker):
     misconfigured harness fails loudly instead of hanging.
     """
 
+    _finite = ("max_seconds",)
     max_seconds: float = 30.0
 
     def fire(self, index: int, job: LayerJob, weights: np.ndarray) -> None:
@@ -412,6 +420,7 @@ class HangForward(Injector):
     """
 
     site = "forward"
+    _finite = ("seconds",)
     model: str | None = None
     seconds: float = 30.0
     times: int = 1
@@ -474,6 +483,7 @@ class SlowLoad(Injector):
     """
 
     site = "load"
+    _finite = ("seconds",)
     seconds: float
     model: str | None = None
 

@@ -1,5 +1,8 @@
 """Tests for durable storage: atomic writes, checksums, verify_archive."""
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from repro.errors import (
 )
 from repro.models.heads import BertForSequenceClassification
 from repro.testing.faults import corrupt_bytes, truncate_file
+from repro.utils.atomic import atomic_savez
 from tests.conftest import MICRO_CONFIG
 
 
@@ -178,3 +182,73 @@ class TestLoadRejectsCorruption:
         np.testing.assert_array_equal(
             loaded.quantized[name].codes(), quantized.quantized[name].codes()
         )
+
+
+def cut_tail(path):
+    truncate_file(path, 0.6)
+
+
+def flip_codes_byte(path):
+    """Flip the last data byte of the first member (the first layer's codes)."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.infolist()[0]
+    name_len, extra_len = struct.unpack_from("<HH", path.read_bytes(), info.header_offset + 26)
+    corrupt_bytes(path, info.header_offset + 30 + name_len + extra_len + info.file_size - 1)
+
+
+def flip_name_byte(path):
+    """Offset 30 is the first byte of the first member's local-header name."""
+    corrupt_bytes(path, 30)
+
+
+def drop_checksum(path):
+    with np.load(path) as arrays:
+        payload = {key: arrays[key] for key in arrays.files if key != CHECKSUM_KEY}
+    atomic_savez(path, payload)
+
+
+READERS = {
+    "eager": lambda path, first: load_quantized_model(path),
+    "lazy-full": lambda path, first: load_quantized_model(path, lazy=True, verify="full"),
+    "lazy-on-access": lambda path, first: load_quantized_model(
+        path, lazy=True, verify="lazy").quantized[first],
+}
+
+#: Each reader's verdict per corruption: the error a load raises (None: it
+#: loads) and the verify_archive status.  Every reader goes through one
+#: MmapNpzReader, so a corruption one of them rejects, all of them reject —
+#: except the lazy CRC check, which has no content checksum to miss.
+VERDICTS = [
+    (cut_tail, {
+        "eager": TruncatedArchiveError, "lazy-full": TruncatedArchiveError,
+        "lazy-on-access": TruncatedArchiveError, "verify-archive": "truncated"}),
+    (flip_codes_byte, {
+        "eager": ChecksumMismatchError, "lazy-full": ChecksumMismatchError,
+        "lazy-on-access": ChecksumMismatchError, "verify-archive": "checksum-mismatch"}),
+    (flip_name_byte, {
+        "eager": ChecksumMismatchError, "lazy-full": ChecksumMismatchError,
+        "lazy-on-access": ChecksumMismatchError, "verify-archive": "checksum-mismatch"}),
+    (drop_checksum, {
+        "eager": ChecksumMismatchError, "lazy-full": ChecksumMismatchError,
+        "lazy-on-access": None, "verify-archive": "checksum-mismatch"}),
+]
+
+
+class TestReaderVerdicts:
+    """One corruption, one verdict per reader: the regression table."""
+
+    @pytest.mark.parametrize("reader", [*READERS, "verify-archive"])
+    @pytest.mark.parametrize(
+        "corrupt, verdicts", VERDICTS, ids=[corrupt.__name__ for corrupt, _ in VERDICTS]
+    )
+    def test_verdict(self, quantized, archive, corrupt, verdicts, reader):
+        first = next(iter(quantized.quantized))
+        corrupt(archive)
+        expected = verdicts[reader]
+        if reader == "verify-archive":
+            assert verify_archive(archive).status == expected
+        elif expected is None:
+            READERS[reader](archive, first)
+        else:
+            with pytest.raises(expected):
+                READERS[reader](archive, first)

@@ -292,6 +292,7 @@ SPEC_TABLE = [
     ("slow:0.15", [(F.SlowLayer, {"seconds": 0.15, "layer": None})]),
     ("kill-worker:0", [(F.KillWorker, {"worker": 0, "nth": 1})]),
     ("slow:0.3", [(F.SlowLayer, {"seconds": 0.3, "layer": None})]),
+    ("slow:inf", [(F.SlowLayer, {"seconds": float("inf"), "layer": None})]),
     ("corrupt-member-at-serve:alpha,hang-forward:beta:5", [
         (F.CorruptMemberAtServe, {"model": "alpha", "times": 1}),
         (F.HangForward, {"model": "beta", "seconds": 5.0, "times": 1}),
@@ -361,6 +362,8 @@ class TestFaultSpecs:
         "crash:0", "kill-worker:1:0", "hang-forward:m:1:-1", "fail-forward:m:-1",
         "corrupt-member-at-serve:m:-2", "transient-io:a:0", "slow:-0.5",
         "slow-load:-1", "mute-worker:-1", "poison:1:bogus",
+        # time.sleep(inf) raises OverflowError when the fault fires.
+        "hang-forward:m:inf", "slow-load:inf", "mute-worker:0:inf",
     ])
     def test_never_firing_specs_rejected(self, spec):
         with pytest.raises(ValueError, match="bad fault spec"):

@@ -257,6 +257,15 @@ class TestNpyHeaderParsing:
         with pytest.raises(SerializationError, match="not a .npy"):
             MmapNpzReader(path).read("junk")
 
+    def test_short_data_is_a_typed_error(self, tmp_path):
+        """A header declaring more elements than the member stores fails as
+        a corrupt member, not as numpy's ValueError."""
+        raw = npy_v1_bytes(np.arange(4, dtype=np.int64))
+        path = tmp_path / "short.npz"
+        write_npy_member(path, "short", raw[:-8])
+        with pytest.raises(ChecksumMismatchError, match="corrupt"):
+            MmapNpzReader(path, verify=True).read("short")
+
     def test_truncated_header_rejected(self, tmp_path):
         array = np.arange(4, dtype=np.int64)
         raw = npy_v1_bytes(array)

@@ -115,6 +115,20 @@ class TestHotSwap:
             registry.reload("micro")
         assert open_fds() <= baseline
 
+    def test_each_load_returns_free_heap(self, micro_archive, monkeypatch):
+        """Register and reload hand the discarded init weights back to the
+        OS, so the served footprint does not hinge on heap layout; without
+        ``malloc_trim`` a load still succeeds."""
+        calls = []
+        monkeypatch.setattr("repro.serve.registry._malloc_trim", calls.append)
+        registry = ModelRegistry()
+        registry.register("micro", micro_archive, config=MICRO_CONFIG)
+        registry.reload("micro")
+        assert calls == [0, 0]
+        monkeypatch.setattr("repro.serve.registry._malloc_trim", None)
+        assert registry.reload("micro").version == 3
+        registry.close()
+
     def test_failed_reload_keeps_old_entry(self, registry, micro_archive, monkeypatch):
         old = registry.get("micro")
         monkeypatch.setattr(
